@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model as model_mod
 from .datasets import TrajectorySet, dataset_hash, zscore_apply, zscore_invert
 from .errors import CompatibilityError, DivergenceError, ShapeError
-from .model import Checkpoint, checkpoint_hash, rollout
+from .model import Checkpoint, MpNodeModel, checkpoint_hash
 from .training import RunRecord
 
 
@@ -50,13 +51,30 @@ def _spread(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
+def _rollout_group(model: MpNodeModel, ts: TrajectorySet, gi: int, rows: np.ndarray,
+                   clamp_messages: bool = False, record_messages: bool = False):
+    """Stable batched rollout of trajectories `rows` of one adjacency group,
+    each from its first state: states [T, B, n, d] and messages [T, B, n, p]
+    or None. The stable kernels make row j's bits those of a single-trajectory
+    `rollout` of trajectory rows[j]. `rollout_batch` is looked up on its
+    module, as `rollout` does, so a wrapper installed there sees every call."""
+    states, msgs = model_mod.rollout_batch(
+        model, ts.graphs[gi], ts.data[rows, 0], ts.T, ts.dt,
+        controls=ts.controls[rows] if ts.c > 0 else None,
+        clamp_messages=clamp_messages, stable=True, record_messages=record_messages)
+    return states.data, None if msgs is None else msgs.data
+
+
 def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
              clamp_messages: bool = False) -> EvalReport:
     """Roll out every test trajectory from its initial state and score it.
 
     The test set is re-normalized with the checkpoint's training statistics
-    (zero-shot sets arrive with other stats or none). Trajectories whose
-    rollout diverges are excluded from the aggregates and counted.
+    (zero-shot sets arrive with other stats or none). Trajectories sharing an
+    adjacency matrix roll out as one batch on the stable kernels, which is
+    bit-identical to rolling each out alone. Trajectories whose rollout
+    diverges are excluded from the aggregates and counted: a group that
+    diverges is rolled out again one trajectory at a time.
     """
     model = ckpt.model
     if model.state_dim != test_set.d or model.control_dim != test_set.c:
@@ -68,21 +86,28 @@ def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
     raw = zscore_invert(test_set, test_set.norm) if test_set.norm is not None else test_set
     ts = zscore_apply(raw, ckpt.norm)
     std = ckpt.norm.std
-    per, per_norm = [], []
-    diverged = 0
-    for i in range(ts.n_traj):
-        target = ts.data[i]
+    scores: list[tuple[float, float] | None] = [None] * ts.n_traj
+
+    def score(gi: int, rows) -> None:
+        preds, _ = _rollout_group(model, ts, gi, rows, clamp_messages)
+        for j, i in enumerate(rows):
+            resid = preds[:, j] - ts.data[i]
+            resid_phys = resid * std
+            scores[i] = (float(np.mean(resid_phys * resid_phys)),
+                         float(np.mean(resid * resid)))
+
+    for gi, rows in ts.adjacency_groups():
         try:
-            pred, _ = rollout(model, ts.graph_of(i), target[0], ts.T, ts.dt,
-                              controls=ts.controls[i] if ts.c > 0 else None,
-                              clamp_messages=clamp_messages)
+            score(gi, rows)
         except DivergenceError:
-            diverged += 1
-            continue
-        resid = pred.data - target
-        per_norm.append(float(np.mean(resid * resid)))
-        resid_phys = resid * std
-        per.append(float(np.mean(resid_phys * resid_phys)))
+            # one diverging trajectory fails its whole batch
+            for i in rows:
+                try:
+                    score(gi, [i])
+                except DivergenceError:
+                    pass
+    kept = [s for s in scores if s is not None]
+    per, per_norm = [s[0] for s in kept], [s[1] for s in kept]
     arr, arr_n = np.asarray(per), np.asarray(per_norm)
     return EvalReport(
         per_traj=per, per_traj_normalized=per_norm,
@@ -90,10 +115,20 @@ def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
         std=_spread(arr),
         mean_normalized=float(arr_n.mean()) if arr_n.size else float("nan"),
         std_normalized=_spread(arr_n),
-        diverged=diverged,
+        diverged=ts.n_traj - len(kept),
         fingerprint={"dataset": dataset_hash(test_set),
                      "checkpoint": checkpoint_hash(ckpt),
                      "clamp_messages": bool(clamp_messages)})
+
+
+def message_log(model: MpNodeModel, ts: TrajectorySet) -> np.ndarray:
+    """Outgoing messages of every trajectory rolled out from its first state,
+    [traj, T, n, p], one stable batched rollout per adjacency group."""
+    log = np.empty((ts.n_traj, ts.T, ts.n_nodes, model.message_dim))
+    for gi, rows in ts.adjacency_groups():
+        _, msgs = _rollout_group(model, ts, gi, rows, record_messages=True)
+        log[rows] = msgs.transpose(1, 0, 2, 3)
+    return log
 
 
 def report_from_predictions(pred: np.ndarray, ts: TrajectorySet) -> EvalReport:

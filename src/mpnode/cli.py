@@ -269,6 +269,9 @@ def cmd_eval(args) -> int:
         ts = train_set if args.split == "train" else val_set
     out = _prepare_out(args.out)
     report = analysis.evaluate(ckpt, ts, clamp_messages=args.clamp_messages)
+    if not report.per_traj:
+        raise DivergenceError(f"all {report.diverged} scored trajectories diverged; "
+                              "no report written")
     report.to_json(out / "report.json")
     _write_resolved(out, "eval", cfg, args)
     print(f"test error {report.mean:.6g} +- {report.std:.6g} over "
@@ -349,16 +352,13 @@ def cmd_pca(args) -> int:
     net = ckpt.model
     if net.message_dim < 1:
         raise CompatibilityError("checkpoint has no message variables to analyze")
+    if args.trajectories < 1:
+        raise ConfigError("--trajectories must be at least 1")
+    n_traj = min(args.trajectories, ts.n_traj)
+    ts = ts.subset(range(n_traj))
     raw = datasets.zscore_invert(ts, ts.norm) if ts.norm is not None else ts
     normed = datasets.zscore_apply(raw, ckpt.norm)
-    n_traj = min(args.trajectories, normed.n_traj)
-    logs = []
-    for i in range(n_traj):
-        _, msgs = model_mod.rollout_batch(
-            net, normed.graph_of(i), normed.data[i:i + 1, 0], normed.T, normed.dt,
-            controls=normed.controls[i:i + 1] if normed.c > 0 else None)
-        logs.append(msgs.data[:, 0])
-    log = np.stack(logs)  # [traj, T, n, p]
+    log = analysis.message_log(net, normed)
     k = min(args.components, net.message_dim * normed.n_nodes)
     result = analysis.pca_messages(log, k)
     times = [t * normed.dt for t in range(normed.T)]

@@ -98,6 +98,17 @@ class TrajectorySet:
     def graph_of(self, traj: int) -> GraphSpec:
         return self.graphs[int(self.adjacency_index[traj])]
 
+    def adjacency_groups(self, indices=None) -> list[tuple[int, np.ndarray]]:
+        """Split trajectory indices (default: all, in order) by adjacency
+        index, so each batched rollout sees one graph. Groups come in graph
+        order and keep the given order of their rows."""
+        if indices is None:
+            indices = range(self.n_traj)
+        by_graph: dict[int, list[int]] = {}
+        for i in indices:
+            by_graph.setdefault(int(self.adjacency_index[i]), []).append(i)
+        return [(gi, np.asarray(rows)) for gi, rows in sorted(by_graph.items())]
+
     def subset(self, indices) -> "TrajectorySet":
         idx = np.asarray(indices)
         return TrajectorySet(

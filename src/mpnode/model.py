@@ -8,7 +8,10 @@ Aggregated messages are frozen during the four RK4 stages of a step; the
 freshly integrated message component becomes the node's next outgoing
 message. `rollout` (single trajectory) runs on the stable kernels and is
 bit-exactly equivariant under node relabeling; `rollout_batch` favours
-throughput and is equivariant up to roundoff.
+throughput and is equivariant up to roundoff. With `stable=True`,
+`rollout_batch` computes each row's bits independently of the rest of the
+block, so a batch equals its per-trajectory `rollout`s bit for bit: `eval`
+and `pca` score one such batch per adjacency matrix.
 """
 
 from __future__ import annotations
@@ -295,18 +298,54 @@ def save_checkpoint(model: MpNodeModel, norm: NormStats | None, provenance: dict
     return ckpt
 
 
-def load_checkpoint(path) -> Checkpoint:
+_HEADER_FIELDS = {"d": int, "p": int, "c": int, "hidden": list, "activation": str,
+                  "norm": (dict, type(None)), "provenance": dict, "param_shapes": list}
+
+
+def _read_checkpoint(path) -> tuple[dict, np.ndarray]:
+    """Split a checkpoint file into its checked header and its float64
+    parameter values; any malformed part raises CompatibilityError naming
+    the file and the field."""
     raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode())
+    nl = raw.find(b"\n")
+    if nl < 0:
+        what = "is empty" if not raw else "has no newline ending its header line"
+        raise CompatibilityError(f"checkpoint {path} {what}")
+    try:
+        header = json.loads(raw[:nl].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CompatibilityError(f"checkpoint {path}: header is not valid JSON: {err}")
+    if not isinstance(header, dict):
+        raise CompatibilityError(f"checkpoint {path}: header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CompatibilityError(
-            f"unsupported checkpoint format version {header.get('format_version')}")
-    shapes = [tuple(s) for s in header["param_shapes"]]
-    blob = np.frombuffer(raw[nl + 1:], dtype="<f8")
+        raise CompatibilityError(f"checkpoint {path}: unsupported format version "
+                                 f"{header.get('format_version')}")
+    for key, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            what = "is missing" if key not in header else "has the wrong type"
+            raise CompatibilityError(f"checkpoint {path}: header field {key!r} {what}")
+    shapes = header["param_shapes"]
+    if len(shapes) % 2 or not all(
+            isinstance(s, list) and all(isinstance(v, int) and v >= 0 for v in s)
+            for s in shapes):
+        raise CompatibilityError(f"checkpoint {path}: header field 'param_shapes' "
+                                 "is not a list of (weight, bias) shapes")
+    if header["norm"] is not None:
+        for key in ("mean", "std", "floored_dims"):
+            if not isinstance(header["norm"].get(key), list):
+                raise CompatibilityError(
+                    f"checkpoint {path}: header field 'norm.{key}' is missing")
+    body = len(raw) - nl - 1
     expect = sum(int(np.prod(s)) for s in shapes)
-    if blob.size != expect:
-        raise CompatibilityError(f"checkpoint holds {blob.size} values, expected {expect}")
+    if body != 8 * expect:
+        raise CompatibilityError(f"checkpoint {path}: parameter blocks hold {body} bytes, "
+                                 f"expected {8 * expect} ({expect} float64 values)")
+    return header, np.frombuffer(raw[nl + 1:], dtype="<f8")
+
+
+def load_checkpoint(path) -> Checkpoint:
+    header, blob = _read_checkpoint(path)
+    shapes = [tuple(s) for s in header["param_shapes"]]
     model = MpNodeModel(header["d"], header["p"], header["c"],
                         tuple(header["hidden"]), header["activation"])
     offset = 0

@@ -8,6 +8,7 @@ only; logged messages never enter a loss.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,18 +195,10 @@ def _check_model_data(model: MpNodeModel, ts: TrajectorySet) -> None:
         raise CompatibilityError("training data must be normalized")
 
 
-def _grouped(indices: list[int], ts: TrajectorySet) -> list[tuple[int, np.ndarray]]:
-    """Split a batch by adjacency index so each rollout sees one graph."""
-    by_graph: dict[int, list[int]] = {}
-    for i in indices:
-        by_graph.setdefault(int(ts.adjacency_index[i]), []).append(i)
-    return [(gi, np.asarray(rows)) for gi, rows in sorted(by_graph.items())]
-
-
 def _batch_loss(model: MpNodeModel, ts: TrajectorySet, indices: list[int],
                 cfg: TrainConfig, T_roll: int, loss_fn) -> Tensor:
     total = None
-    for gi, rows in _grouped(indices, ts):
+    for gi, rows in ts.adjacency_groups(indices):
         x0 = ts.data[rows, 0]
         target = ts.data[rows, :T_roll].transpose(1, 0, 2, 3)
         controls = ts.controls[rows, :T_roll] if ts.c > 0 else None
@@ -224,7 +217,7 @@ def _eval_metrics(model: MpNodeModel, ts: TrajectorySet, cfg: TrainConfig,
     loss_acc = 0.0
     per_traj = np.empty(ts.n_traj)
     std = ts.norm.std
-    for gi, rows in _grouped(list(range(ts.n_traj)), ts):
+    for gi, rows in ts.adjacency_groups():
         x0 = ts.data[rows, 0]
         target = ts.data[rows, :T_roll].transpose(1, 0, 2, 3)
         controls = ts.controls[rows, :T_roll] if ts.c > 0 else None
@@ -289,7 +282,8 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             try:
                 val_loss, test_error = _eval_metrics(model, val_set, cfg, T_roll, loss_fn)
-            except DivergenceError:
+            except DivergenceError as err:
+                print(f"epoch {epoch}: validation diverged: {err}", file=sys.stderr)
                 val_loss = test_error = None
             if val_loss is not None and (best is None or val_loss < best[0]):
                 best = (val_loss, epoch, _snapshot(model), train_loss)

@@ -7,10 +7,10 @@ import pytest
 
 from mpnode import analysis, datasets, dynamics, graphs, training
 from mpnode.analysis import (emit_plot, epochs_times_min_error, evaluate,
-                             jacobi_eigh, message_norms, pca_messages,
+                             jacobi_eigh, message_log, message_norms, pca_messages,
                              report_from_predictions)
-from mpnode.errors import CompatibilityError, ShapeError
-from mpnode.model import init_model
+from mpnode.errors import CompatibilityError, DivergenceError, ShapeError
+from mpnode.model import Checkpoint, init_model, rollout
 from mpnode.training import RunRecord, TrainConfig, train
 
 
@@ -227,3 +227,63 @@ class TestEvaluate:
         report = evaluate(ckpt, val_set, clamp_messages=True)
         assert np.isfinite(report.mean)
         assert report.fingerprint["clamp_messages"] is True
+
+
+@pytest.fixture(scope="module")
+def multi_adjacency():
+    """Gene set on three BA graphs with trajectories assigned round-robin, and
+    a relu model steep enough that a huge initial state overflows."""
+    gs = [graphs.gen_barabasi_albert(8, 2, seed=s) for s in (50, 51, 52)]
+    raw = datasets.generate_dataset(dynamics.make_gene(gs[0]), gs, n_traj=9,
+                                    horizon=0.5, dt=0.1, seed=53)
+    model = init_model(1, 3, 0, hidden=(8,), activation="relu", seed=54)
+    for w in model.weights:
+        w.data *= 10.0
+    return Checkpoint(model=model, norm=datasets.zscore_fit(raw), provenance={}), raw
+
+
+def per_trajectory_reference(ckpt, raw):
+    """One stable `rollout` per trajectory, each scored on its own slice:
+    physical and normalized MSEs and message logs of the finite rollouts,
+    and the number that diverged."""
+    ts = datasets.zscore_apply(raw, ckpt.norm)
+    per, per_norm, msgs, diverged = [], [], [], 0
+    for i in range(ts.n_traj):
+        try:
+            pred, m = rollout(ckpt.model, ts.graph_of(i), ts.data[i, 0], ts.T, ts.dt)
+        except DivergenceError:
+            diverged += 1
+            continue
+        resid = pred.data - ts.data[i]
+        per_norm.append(float(np.mean(resid * resid)))
+        resid_phys = resid * ckpt.norm.std
+        per.append(float(np.mean(resid_phys * resid_phys)))
+        msgs.append(m.data)
+    return per, per_norm, msgs, diverged
+
+
+class TestBatchedScoring:
+    def test_evaluate_matches_per_trajectory_rollouts(self, multi_adjacency):
+        ckpt, raw = multi_adjacency
+        per, per_norm, _, diverged = per_trajectory_reference(ckpt, raw)
+        report = evaluate(ckpt, raw)
+        assert diverged == 0 and report.diverged == 0
+        assert report.per_traj == per
+        assert report.per_traj_normalized == per_norm
+
+    def test_diverged_trajectory_counted_others_bit_identical(self, multi_adjacency):
+        ckpt, raw = multi_adjacency
+        poisoned = raw.subset(range(raw.n_traj))
+        poisoned.data[4] *= 1e305
+        per, per_norm, _, diverged = per_trajectory_reference(ckpt, poisoned)
+        report = evaluate(ckpt, poisoned)
+        assert diverged == 1 and report.diverged == 1
+        assert len(report.per_traj) == raw.n_traj - 1
+        assert report.per_traj == per
+        assert report.per_traj_normalized == per_norm
+
+    def test_message_log_matches_per_trajectory_rollouts(self, multi_adjacency):
+        ckpt, raw = multi_adjacency
+        _, _, msgs, _ = per_trajectory_reference(ckpt, raw)
+        log = message_log(ckpt.model, datasets.zscore_apply(raw, ckpt.norm))
+        assert np.array_equal(log, np.stack(msgs))

@@ -4,6 +4,7 @@ pca, plot; exit codes; reproducibility of outputs."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpnode.cli import main
@@ -16,6 +17,24 @@ TINY = {
     "model": {"message_dim": 2, "hidden": [8], "activation": "tanh", "seed": 7},
     "train": {"learning_rate": 0.001, "batch_size": 4, "epochs": 2,
               "loss": "huber_time", "eval_every": 1, "seed": 8},
+}
+
+
+def _drop_header_key(raw: bytes, key: str) -> bytes:
+    head, body = raw.split(b"\n", 1)
+    header = json.loads(head)
+    del header[key]
+    return json.dumps(header).encode() + b"\n" + body
+
+
+# case -> (corruption of a valid checkpoint's bytes, text the error must name)
+MALFORMED_CHECKPOINTS = {
+    "empty file": (lambda raw: b"", "is empty"),
+    "no header newline": (lambda raw: raw[:raw.index(b"\n")], "no newline"),
+    "bad json": (lambda raw: b"{not json" + raw[raw.index(b"\n"):], "not valid JSON"),
+    "missing header key": (lambda raw: _drop_header_key(raw, "hidden"),
+                           "'hidden' is missing"),
+    "truncated parameters": (lambda raw: raw[:-3], "parameter blocks"),
 }
 
 
@@ -139,6 +158,31 @@ class TestTrainEval:
         assert main(["eval", "--data", str(dataset_dir),
                      "--from", str(tmp_path / "nope.ckpt"),
                      "--out", str(tmp_path / "e")]) == 2
+
+    def test_eval_all_diverged_exit_4(self, tmp_path, tiny_config, dataset_dir,
+                                      trained_dir, capsys):
+        ckpt = trained_dir / "checkpoint.ckpt"
+        raw = ckpt.read_bytes()
+        body = raw.index(b"\n") + 1
+        ckpt.write_bytes(raw[:body] + np.full((len(raw) - body) // 8, np.nan).tobytes())
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(tiny_config), "--data", str(dataset_dir),
+                     "--from", str(ckpt), "--out", str(out), "--split", "val"])
+        assert code == 4
+        assert "all 3 scored trajectories diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_exit_3(self, tmp_path, dataset_dir, trained_dir,
+                                         capsys, case):
+        corrupt, field = MALFORMED_CHECKPOINTS[case]
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(corrupt((trained_dir / "checkpoint.ckpt").read_bytes()))
+        code = main(["eval", "--data", str(dataset_dir), "--from", str(ckpt),
+                     "--out", str(tmp_path / "e")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and field in err
 
 
 class TestAblateSweepPcaPlot:

@@ -168,14 +168,18 @@ class TestRollout:
         assert np.array_equal(states.data[:, 0], states.data[:, 1])
 
     def test_batch_matches_single(self):
+        # the fast kernels agree to roundoff; the stable ones bit for bit
         g = graphs.gen_erdos_renyi(5, 0.5, seed=28)
         model = init_model(2, 3, 0, seed=29)
         x0 = np.random.default_rng(30).standard_normal((4, 5, 2))
         batch, batch_m = rollout_batch(model, g, x0, T=7, dt=0.1)
+        stable, stable_m = rollout_batch(model, g, x0, T=7, dt=0.1, stable=True)
         for i in range(4):
             single, single_m = rollout(model, g, x0[i], T=7, dt=0.1)
             assert np.allclose(batch.data[:, i], single.data, rtol=1e-12, atol=1e-14)
             assert np.allclose(batch_m.data[:, i], single_m.data, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(stable.data[:, i], single.data)
+            assert np.array_equal(stable_m.data[:, i], single_m.data)
 
     def test_rollout_gradient_vs_finite_differences(self):
         g = graphs.gen_erdos_renyi(3, 0.7, seed=31)

@@ -214,6 +214,20 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, train_set, val_set, cfg)
 
+    def test_validation_divergence_reported(self, tiny_kuramoto, capsys):
+        train_set, val_set = tiny_kuramoto
+        val_set = val_set.subset(range(val_set.n_traj))
+        val_set.data[0] *= 1e300
+        model = init_model(1, 2, 0, hidden=(8,), activation="relu", seed=20)
+        for w in model.weights:
+            w.data *= 10.0  # steep enough that only the huge state overflows
+        cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=21)
+        _, record = train(model, train_set, val_set, cfg)
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:2] for line in lines] == \
+            [["epoch 1", "validation diverged"], ["epoch 2", "validation diverged"]]
+        assert all(r.val_loss is None and r.test_error is None for r in record.rows)
+
     def test_rollout_horizon_option(self, tiny_kuramoto):
         train_set, val_set = tiny_kuramoto
         cfg_short = TrainConfig(epochs=2, batch_size=8, loss="huber_time", seed=36,
