@@ -14,11 +14,9 @@ from .dynamics import (GeneParams, KuramotoParams, LorenzParams, PendulumParams,
                        SystemSpec, rk4_step, simulate_trajectory)
 from .graphs import (GraphSpec, gen_barabasi_albert, gen_erdos_renyi,
                      gen_fixed_degree, gen_fully_connected_weighted,
-                     gen_watts_strogatz, neighbors_of)
-from .model import (AugmentedSystemState, Checkpoint, MpNodeModel,
-                    aggregate_incoming, augmented_rhs, init_model, load_checkpoint,
-                    mlp_forward, mpnode_step, rollout, rollout_batch,
-                    save_checkpoint)
+                     gen_watts_strogatz)
+from .model import (Checkpoint, MpNodeModel, init_model, load_checkpoint,
+                    mlp_forward, rollout, rollout_batch, save_checkpoint)
 from .training import (AdamState, RunRecord, TrainConfig, adam_step, finetune,
                        huber_time_loss, init_adam, mse_loss, train)
 from .analysis import (EvalReport, PcaResult, emit_plot, epochs_times_min_error,

@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model as model_mod
 from .datasets import TrajectorySet, dataset_hash, zscore_apply, zscore_invert
 from .errors import CompatibilityError, DivergenceError, ShapeError
-from .model import Checkpoint, MpNodeModel, checkpoint_hash
+from .model import Checkpoint, MpNodeModel, checkpoint_hash, rollout_group
 from .training import RunRecord
 
 
@@ -51,20 +50,6 @@ def _spread(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _rollout_group(model: MpNodeModel, ts: TrajectorySet, gi: int, rows: np.ndarray,
-                   clamp_messages: bool = False, record_messages: bool = False):
-    """Stable batched rollout of trajectories `rows` of one adjacency group,
-    each from its first state: states [T, B, n, d] and messages [T, B, n, p]
-    or None. The stable kernels make row j's bits those of a single-trajectory
-    `rollout` of trajectory rows[j]. `rollout_batch` is looked up on its
-    module, as `rollout` does, so a wrapper installed there sees every call."""
-    states, msgs = model_mod.rollout_batch(
-        model, ts.graphs[gi], ts.data[rows, 0], ts.T, ts.dt,
-        controls=ts.controls[rows] if ts.c > 0 else None,
-        clamp_messages=clamp_messages, stable=True, record_messages=record_messages)
-    return states.data, None if msgs is None else msgs.data
-
-
 def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
              clamp_messages: bool = False) -> EvalReport:
     """Roll out every test trajectory from its initial state and score it.
@@ -89,9 +74,9 @@ def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
     scores: list[tuple[float, float] | None] = [None] * ts.n_traj
 
     def score(gi: int, rows) -> None:
-        preds, _ = _rollout_group(model, ts, gi, rows, clamp_messages)
+        preds, _ = rollout_group(model, ts, gi, rows, ts.T, clamp_messages, stable=True)
         for j, i in enumerate(rows):
-            resid = preds[:, j] - ts.data[i]
+            resid = preds.data[:, j] - ts.data[i]
             resid_phys = resid * std
             scores[i] = (float(np.mean(resid_phys * resid_phys)),
                          float(np.mean(resid * resid)))
@@ -126,29 +111,10 @@ def message_log(model: MpNodeModel, ts: TrajectorySet) -> np.ndarray:
     [traj, T, n, p], one stable batched rollout per adjacency group."""
     log = np.empty((ts.n_traj, ts.T, ts.n_nodes, model.message_dim))
     for gi, rows in ts.adjacency_groups():
-        _, msgs = _rollout_group(model, ts, gi, rows, record_messages=True)
-        log[rows] = msgs.transpose(1, 0, 2, 3)
+        _, msgs = rollout_group(model, ts, gi, rows, ts.T, stable=True,
+                                record_messages=True)
+        log[rows] = msgs.data.transpose(1, 0, 2, 3)
     return log
-
-
-def report_from_predictions(pred: np.ndarray, ts: TrajectorySet) -> EvalReport:
-    """Score precomputed physical-space predictions [n_traj, T, n, d].
-
-    Testing seam: lets an exact oracle (e.g. the ground-truth integrator)
-    stand in for a model rollout.
-    """
-    if pred.shape != ts.data.shape:
-        raise ShapeError(f"predictions {pred.shape} do not match data {ts.data.shape}")
-    truth = zscore_invert(ts, ts.norm).data if ts.norm is not None else ts.data
-    resid = pred - truth
-    per = list(np.mean(resid * resid, axis=(1, 2, 3)))
-    arr = np.asarray(per)
-    return EvalReport(per_traj=[float(v) for v in per],
-                      per_traj_normalized=[], mean=float(arr.mean()),
-                      std=_spread(arr), mean_normalized=float("nan"),
-                      std_normalized=float("nan"), diverged=0,
-                      fingerprint={"dataset": dataset_hash(ts),
-                                   "checkpoint": None, "clamp_messages": False})
 
 
 def epochs_times_min_error(record: RunRecord) -> float:
@@ -195,7 +161,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
     if norm == 0.0:
         return np.zeros(n), V
     for _ in range(max_sweeps):
-        off = np.sqrt(max((A * A).sum() - (np.diagonal(A) ** 2).sum(), 0.0))
+        # summed over the off-diagonal entries themselves: the difference of
+        # the total and the diagonal mass cancels to noise near convergence
+        off = np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum())
         if off <= tol * norm:
             break
         for p in range(n - 1):

@@ -2,7 +2,8 @@
 
 Ops record onto the innermost active `Tape`; `Tape.backward` replays the
 records in reverse creation order, which is a valid topological order, so
-no graph search is needed. The tape is rebuilt per rollout.
+no graph search is needed. It returns the gradients as a dict; tensors
+carry no gradient state of their own. The tape is rebuilt per rollout.
 
 Two kernel flavours exist for the hot ops (`dense`, `neighbor_mean`):
 
@@ -35,11 +36,10 @@ def _tape_stack() -> list:
 class Tensor:
     """A dense float64 array, optionally participating in the active tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward: Callable | None = None
@@ -55,27 +55,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
     # Arithmetic sugar so generic code (e.g. the RK4 update formula) works
     # on tensors and plain ndarrays alike.
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, c):
         return scale(self, float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -98,17 +86,15 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def backward(self, loss: Tensor, params: Sequence[Tensor] | None = None,
-                 write_grads: bool = True):
+    def backward(self, loss: Tensor, params: Sequence[Tensor] | None = None):
         """Reverse sweep from a 0-d `loss`; returns a leaf -> gradient dict.
 
         With `params` given, every requested tensor appears in the result
-        (zeros when the loss does not depend on it). By default gradients are
-        also accumulated into each leaf's `.grad` after the sweep. Adjoints
-        live in a sweep-local sink (freed as the sweep passes each node), so
-        independent tapes can run backward concurrently on shared read-only
-        parameters when `write_grads` is off; merging results across tapes is
-        then the caller's serial reduction. One backward call per tape.
+        (zeros when the loss does not depend on it). Adjoints live in a
+        sweep-local sink (freed as the sweep passes each node) and nothing is
+        written to the tensors, so independent tapes can run backward
+        concurrently on shared read-only parameters; merging results across
+        tapes is the caller's serial reduction. One backward call per tape.
         """
         if loss.data.shape != ():
             raise ShapeError(f"backward root must be scalar, got shape {loss.data.shape}")
@@ -134,15 +120,7 @@ class Tape:
         for p in wanted:
             g = sink.get(id(p))
             result[p] = g if g is not None else np.zeros(p.shape)
-        if write_grads:
-            for p, g in result.items():
-                p.grad = g if p.grad is None else p.grad + g
         return result
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 def _record(out: Tensor, parents: tuple, backward: Callable) -> Tensor:
@@ -194,41 +172,8 @@ def assert_finite(x, context: str = "value") -> None:
 # ---------------------------------------------------------------------------
 
 
-def constant(values) -> Tensor:
-    return Tensor(values)
-
-
 def parameter(values) -> Tensor:
     return Tensor(values, requires_grad=True)
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """y = W @ x for a matrix W[r, c] and vector x[c]."""
-    if w.data.ndim != 2 or x.data.ndim != 1:
-        raise ShapeError(f"matvec needs matrix and vector, got {w.shape} and {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec inner dims disagree: {w.shape} vs {x.shape}")
-    out = Tensor(w.data @ x.data)
-    wd, xd = w.data, x.data
-
-    def backward(g):
-        _accumulate(w, np.outer(g, xd), owned=True)
-        _accumulate(x, wd.T @ g, owned=True)
-
-    return _record(out, (w, x), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes disagree: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        _accumulate(a, g @ bd.T, owned=True)
-        _accumulate(b, ad.T @ g, owned=True)
-
-    return _record(out, (a, b), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -264,45 +209,12 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: x[N, k] + b[k]."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias shapes disagree: {x.shape} vs {b.shape}")
-    out = Tensor(x.data + b.data)
-
-    def backward(g):
-        _accumulate(x, g)
-        _accumulate(b, g.sum(axis=0), owned=True)
-
-    return _record(out, (x, b), backward)
-
-
-def tanh_act(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def backward(g):
-        _accumulate(x, g * (1.0 - y * y), owned=True)
-
-    return _record(out, (x,), backward)
-
-
-def relu_act(x: Tensor) -> Tensor:
-    y = np.maximum(x.data, 0.0)
-    out = Tensor(y)
-
-    def backward(g):
-        _accumulate(x, g * (y > 0.0), owned=True)
-
-    return _record(out, (x,), backward)
-
-
 _ACTIVATIONS = {"tanh", "relu"}
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None,
           stable: bool = False) -> Tensor:
-    """Fused affine layer: activation(x @ W.T + b), for x of rank 1 or 2.
+    """Fused affine layer: activation(x @ W.T + b) on a row batch x [N, in].
 
     W is stored [out, in]. One fused op keeps the tape short and retains a
     single output array per layer. With `stable=True` the matmul runs
@@ -312,14 +224,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None,
         raise ValueError(f"unknown activation {activation!r}")
     if w.data.ndim != 2 or b.data.ndim != 1 or w.shape[0] != b.shape[0]:
         raise ShapeError(f"dense parameter shapes disagree: W{w.shape} b{b.shape}")
-    rank1 = x.data.ndim == 1
-    if (x.data.ndim not in (1, 2)) or x.shape[-1] != w.shape[1]:
+    if x.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"dense input {x.shape} does not match W{w.shape}")
     xd, wd = x.data, w.data
-    if rank1:
-        pre = (np.einsum("oi,i->o", wd, xd) if stable else wd @ xd) + b.data
-    else:
-        pre = (np.einsum("ni,oi->no", xd, wd) if stable else xd @ wd.T) + b.data
+    pre = (np.einsum("ni,oi->no", xd, wd) if stable else xd @ wd.T) + b.data
     if activation == "tanh":
         y = np.tanh(pre)
     elif activation == "relu":
@@ -335,49 +243,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None,
             gp = g * (y > 0.0)
         else:
             gp = g
-        if rank1:
-            _accumulate(x, np.einsum("oi,o->i", wd, gp) if stable else wd.T @ gp, owned=True)
-            _accumulate(w, np.outer(gp, xd), owned=True)
-            _accumulate(b, gp, owned=activation is not None)
-        else:
-            _accumulate(x, np.einsum("no,oi->ni", gp, wd) if stable else gp @ wd, owned=True)
-            _accumulate(w, np.einsum("no,ni->oi", gp, xd) if stable else gp.T @ xd, owned=True)
-            _accumulate(b, gp.sum(axis=0), owned=True)
+        _accumulate(x, np.einsum("no,oi->ni", gp, wd) if stable else gp @ wd, owned=True)
+        _accumulate(w, np.einsum("no,ni->oi", gp, xd) if stable else gp.T @ xd, owned=True)
+        _accumulate(b, gp.sum(axis=0), owned=True)
 
     return _record(out, (x, w, b), backward)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate rank-1 tensors in argument order."""
-    if not parts:
-        raise ShapeError("concat needs at least one part")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeError(f"concat parts must be vectors, got shape {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
-
-    return _record(out, tuple(parts), backward)
-
-
-def vec_slice(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous sub-vector x[lo:hi]; adjoint is zero outside the window."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"vec_slice needs a vector, got shape {x.shape}")
-    if not (0 <= lo <= hi <= x.shape[0]):
-        raise ShapeError(f"slice bounds [{lo}, {hi}) out of range for length {x.shape[0]}")
-    out = Tensor(x.data[lo:hi].copy())
-
-    def backward(g):
-        full = np.zeros(x.shape)
-        full[lo:hi] = g
-        _accumulate(x, full, owned=True)
-
-    return _record(out, (x,), backward)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -437,26 +307,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         _accumulate(x, g.reshape(x.shape))
 
     return _record(out, (x,), backward)
-
-
-def mean_over_set(vs: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors; order-independent in the bits."""
-    if not vs:
-        raise ShapeError("mean_over_set needs a nonempty set")
-    shape = vs[0].shape
-    for v in vs:
-        if v.shape != shape:
-            raise ShapeError("mean_over_set members must share a shape")
-    n = len(vs)
-    stacked = np.stack([v.data for v in vs])
-    out = Tensor(ordered_sum(stacked, axis=0) / n)
-
-    def backward(g):
-        gn = g / n
-        for v in vs:
-            _accumulate(v, gn)
-
-    return _record(out, tuple(vs), backward)
 
 
 def neighbor_mean(mask: np.ndarray, x: Tensor, stable: bool = False) -> Tensor:
@@ -523,15 +373,6 @@ def mean_all(x: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(x, np.full(x.shape, float(g) / count), owned=True)
-
-    return _record(out, (x,), backward)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
-
-    def backward(g):
-        _accumulate(x, np.full(x.shape, float(g)), owned=True)
 
     return _record(out, (x,), backward)
 

@@ -91,13 +91,6 @@ class TrajectorySet:
     def c(self) -> int:
         return self.controls.shape[3]
 
-    @property
-    def graph(self) -> GraphSpec:
-        return self.graphs[0]
-
-    def graph_of(self, traj: int) -> GraphSpec:
-        return self.graphs[int(self.adjacency_index[traj])]
-
     def adjacency_groups(self, indices=None) -> list[tuple[int, np.ndarray]]:
         """Split trajectory indices (default: all, in order) by adjacency
         index, so each batched rollout sees one graph. Groups come in graph
@@ -310,12 +303,58 @@ def save_dataset(ts: TrajectorySet, path) -> None:
         (path / "controls.bin").write_bytes(ts.controls.astype("<f8").tobytes("C"))
 
 
+NORM_FIELDS = {"mean": list, "std": list, "floored_dims": list}
+_MANIFEST_FIELDS = {"system": dict, "graphs": list, "n_traj": int, "T": int,
+                    "n_nodes": int, "d": int, "c": int, "dt": (int, float), "seed": int,
+                    "norm": (dict, type(None)), "adjacency_index_per_traj": list}
+_SYSTEM_FIELDS = {"kind": str, "params": dict}
+_GRAPH_FIELDS = {"n": int, "topology_tag": str, "seed": int, "adjacency_offset": int}
+
+
+def check_fields(doc, fields: dict, where: str, prefix: str = "") -> None:
+    """Check a JSON object read from a file against a table of field name ->
+    accepted type(s); raise CompatibilityError naming `where` (the file) and
+    the field, written `prefix` + name, that is missing or of another type."""
+    if not isinstance(doc, dict):
+        name = f" field {prefix.rstrip('.')!r}" if prefix else ""
+        raise CompatibilityError(f"{where}{name} is not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(doc.get(key), kind):
+            what = "is missing" if key not in doc else "has the wrong type"
+            raise CompatibilityError(f"{where} field '{prefix}{key}' {what}")
+
+
+def _read_manifest(path: Path) -> dict:
+    where = f"dataset manifest {path}"
+    try:
+        manifest = json.loads(path.read_bytes().decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CompatibilityError(f"{where} is not valid JSON: {err}")
+    check_fields(manifest, {"format_version": int}, where)
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise CompatibilityError(
+            f"{where}: unsupported format version {manifest['format_version']}")
+    check_fields(manifest, _MANIFEST_FIELDS, where)
+    for key in ("n_traj", "T", "n_nodes", "d", "c"):
+        if manifest[key] < 0:
+            raise CompatibilityError(f"{where} field '{key}' is negative")
+    check_fields(manifest["system"], _SYSTEM_FIELDS, where, "system.")
+    for i, meta in enumerate(manifest["graphs"]):
+        check_fields(meta, _GRAPH_FIELDS, where, f"graphs[{i}].")
+    if manifest["norm"] is not None:
+        check_fields(manifest["norm"], NORM_FIELDS, where, "norm.")
+    if not all(isinstance(i, int) and 0 <= i < len(manifest["graphs"])
+               for i in manifest["adjacency_index_per_traj"]):
+        raise CompatibilityError(f"{where} field 'adjacency_index_per_traj' names "
+                                 "a graph the manifest does not list")
+    return manifest
+
+
 def load_dataset(path) -> TrajectorySet:
+    """Read a dataset directory; a malformed manifest raises
+    CompatibilityError naming the file and the field."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CompatibilityError(f"unsupported dataset format version {version}")
+    manifest = _read_manifest(path / "manifest.json")
     n_traj, T = manifest["n_traj"], manifest["T"]
     n, d, c = manifest["n_nodes"], manifest["d"], manifest["c"]
     raw = np.frombuffer((path / "data.bin").read_bytes(), dtype="<f8")
@@ -332,7 +371,11 @@ def load_dataset(path) -> TrajectorySet:
         graphs.append(GraphSpec(gn, adj_raw[off:off + gn * gn].reshape(gn, gn).copy(),
                                 meta["topology_tag"], meta["seed"]))
     kind = manifest["system"]["kind"]
-    system = _system_from_dict(kind, manifest["system"]["params"], n, graphs[0])
+    try:
+        system = _system_from_dict(kind, manifest["system"]["params"], n, graphs[0])
+    except (KeyError, TypeError) as err:
+        raise CompatibilityError(f"dataset manifest {path / 'manifest.json'} field "
+                                 f"'system.params' does not fit kind {kind!r}: {err!r}")
     if c > 0:
         ctl_raw = np.frombuffer((path / "controls.bin").read_bytes(), dtype="<f8")
         if ctl_raw.size != n_traj * T * n * c:

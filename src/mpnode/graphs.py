@@ -180,14 +180,6 @@ def gen_fixed_degree(n: int, d: int, seed: int) -> GraphSpec:
     raise RuntimeError(f"could not realize a simple {d}-regular graph on {n} nodes")
 
 
-def neighbors_of(g: GraphSpec, k: int) -> list[tuple[int, float]]:
-    """All (j, A_kj) with A_kj > 0, reading row k (incoming couplings)."""
-    if not (0 <= k < g.n):
-        raise IndexError(f"node index {k} out of range for n={g.n}")
-    row = g.adjacency[k]
-    return [(j, float(row[j])) for j in np.nonzero(row > 0.0)[0]]
-
-
 def ba_m_for_degree(d: int) -> int:
     """BA attachment count whose mean degree best matches a target degree d."""
     return max(1, int(d / 2 + 0.5))

@@ -6,12 +6,14 @@ A rollout keeps the full system as a [B*n, d+p] block (batch-major rows) so
 one fused MLP evaluation advances every node of every trajectory at once.
 Aggregated messages are frozen during the four RK4 stages of a step; the
 freshly integrated message component becomes the node's next outgoing
-message. `rollout` (single trajectory) runs on the stable kernels and is
-bit-exactly equivariant under node relabeling; `rollout_batch` favours
-throughput and is equivariant up to roundoff. With `stable=True`,
-`rollout_batch` computes each row's bits independently of the rest of the
-block, so a batch equals its per-trajectory `rollout`s bit for bit: `eval`
-and `pca` score one such batch per adjacency matrix.
+message. `rollout_batch` favours throughput by default and is then
+equivariant up to roundoff. With `stable=True` it computes each row's bits
+independently of the rest of the block, so a batch equals its
+per-trajectory `rollout`s bit for bit. `rollout` (single trajectory) always
+runs on the stable kernels and is bit-exactly equivariant under node
+relabeling. `rollout_group` rolls out the trajectories of a dataset that
+share one adjacency matrix: training batches and validation on the fast
+kernels, `eval` and `pca` on the stable ones.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import NormStats
+from .datasets import NORM_FIELDS, NormStats, TrajectorySet, check_fields
 from .dynamics import rk4_step
 from .errors import CompatibilityError, DivergenceError, ShapeError
 from .graphs import GraphSpec
@@ -87,7 +89,7 @@ def init_model(state_dim: int, message_dim: int, control_dim: int = 0,
 
 
 def mlp_forward(model: MpNodeModel, z: Tensor, stable: bool = False) -> Tensor:
-    """Apply the shared MLP to a vector [d+p+c] or a row batch [N, d+p+c]."""
+    """Apply the shared MLP to a row batch [N, d+p+c]; returns [N, d+p]."""
     if z.shape[-1] != model.input_dim:
         raise ShapeError(f"MLP input width {z.shape[-1]}, expected {model.input_dim}")
     h = z
@@ -96,37 +98,6 @@ def mlp_forward(model: MpNodeModel, z: Tensor, stable: bool = False) -> Tensor:
         act = None if i == last else model.activation
         h = ad.dense(h, w, b, activation=act, stable=stable)
     return h
-
-
-def aggregate_incoming(g: GraphSpec, messages: list[Tensor], k: int) -> Tensor:
-    """Incoming message for node k: unweighted mean of neighbors' outgoing
-    messages, or zeros when k has no neighbors."""
-    if not (0 <= k < g.n):
-        raise IndexError(f"node index {k} out of range for n={g.n}")
-    row = g.adjacency[k]
-    neighbors = [messages[j] for j in np.nonzero(row > 0.0)[0]]
-    if not neighbors:
-        return Tensor(np.zeros(messages[k].shape))
-    return ad.mean_over_set(neighbors)
-
-
-def augmented_rhs(model: MpNodeModel, x_k: Tensor, m_in_k: Tensor,
-                  u_k: Tensor | None = None, stable: bool = False) -> Tensor:
-    """Time derivative of one node's augmented state [x_k; m'_k]."""
-    parts = [x_k, m_in_k] if model.message_dim > 0 else [x_k]
-    if model.control_dim > 0:
-        if u_k is None:
-            raise ShapeError("model expects a control input")
-        parts.append(u_k)
-    z = ad.concat(parts) if len(parts) > 1 else parts[0]
-    return mlp_forward(model, z, stable=stable)
-
-
-@dataclass
-class AugmentedSystemState:
-    """Per-node physical states x [n, d] and outgoing messages m [n, p]."""
-    x: Tensor
-    m: Tensor
 
 
 def _system_rhs(model: MpNodeModel, stable: bool):
@@ -155,28 +126,6 @@ def _advance(model: MpNodeModel, mask: np.ndarray, aug: Tensor,
             rows = np.nonzero(~np.isfinite(arr).all(axis=1))[0]
             detail += f" at nodes {sorted({int(r) % n for r in rows})}"
         raise DivergenceError(detail) from err
-
-
-def mpnode_step(model: MpNodeModel, g: GraphSpec, state: AugmentedSystemState,
-                controls: Tensor | None, dt: float,
-                stable: bool = True) -> AugmentedSystemState:
-    """Advance the whole system one observation timestep.
-
-    Aggregation happens once at the step boundary; the aggregated incoming
-    message replaces the message slot, the augmented state is integrated by
-    RK4 under the shared MLP, and the integrated message component becomes
-    the new outgoing message.
-    """
-    d, p = model.state_dim, model.message_dim
-    if state.x.shape != (g.n, d) or state.m.shape != (g.n, p):
-        raise ShapeError("augmented state does not match graph and model dims")
-    aug = ad.concat_cols([state.x, state.m]) if p > 0 else state.x
-    try:
-        aug = _advance(model, g.neighbor_mask(), aug, controls, dt, stable)
-    except DivergenceError as err:
-        raise DivergenceError(f"mpnode step diverged: {err}") from err
-    return AugmentedSystemState(x=ad.col_slice(aug, 0, d),
-                                m=ad.col_slice(aug, d, d + p))
 
 
 def rollout_batch(model: MpNodeModel, g: GraphSpec, x0, T: int, dt: float,
@@ -227,13 +176,27 @@ def rollout_batch(model: MpNodeModel, g: GraphSpec, x0, T: int, dt: float,
     return states_t, msg_t
 
 
+def rollout_group(model: MpNodeModel, ts: TrajectorySet, gi: int, rows, T: int,
+                  clamp_messages: bool = False, stable: bool = False,
+                  record_messages: bool = False) -> tuple[Tensor, Tensor | None]:
+    """`rollout_batch` of trajectories `rows` of `ts`, which share the
+    adjacency `ts.graphs[gi]` (see `TrajectorySet.adjacency_groups`), for T
+    steps from their first states under their controls. `rollout_batch` is
+    called through this module's global, so a wrapper installed on the
+    module sees every group rollout."""
+    return rollout_batch(model, ts.graphs[gi], ts.data[rows, 0], T, ts.dt,
+                         controls=ts.controls[rows, :T] if ts.c > 0 else None,
+                         clamp_messages=clamp_messages, stable=stable,
+                         record_messages=record_messages)
+
+
 def rollout(model: MpNodeModel, g: GraphSpec, x0, T: int, dt: float,
-            controls: np.ndarray | None = None, clamp_messages: bool = False,
-            stable: bool = True) -> tuple[Tensor, Tensor]:
+            controls: np.ndarray | None = None, clamp_messages: bool = False
+            ) -> tuple[Tensor, Tensor]:
     """Single-trajectory rollout; returns states [T, n, d] and messages [T, n, p].
 
-    Runs on the stable kernels by default, making the result bit-exactly
-    equivariant under node permutation.
+    Runs on the stable kernels, making the result bit-exactly equivariant
+    under node permutation.
     """
     xt = x0 if isinstance(x0, Tensor) else Tensor(x0)
     if xt.data.ndim != 2:
@@ -241,7 +204,7 @@ def rollout(model: MpNodeModel, g: GraphSpec, x0, T: int, dt: float,
     batched = ad.reshape(xt, (1, *xt.shape))
     ctl = None if controls is None else controls[None]
     states, messages = rollout_batch(model, g, batched, T, dt, controls=ctl,
-                                     clamp_messages=clamp_messages, stable=stable,
+                                     clamp_messages=clamp_messages, stable=True,
                                      record_messages=True)
     d, p = model.state_dim, model.message_dim
     return (ad.reshape(states, (T, g.n, d)), ad.reshape(messages, (T, g.n, p)))
@@ -315,15 +278,12 @@ def _read_checkpoint(path) -> tuple[dict, np.ndarray]:
         header = json.loads(raw[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CompatibilityError(f"checkpoint {path}: header is not valid JSON: {err}")
-    if not isinstance(header, dict):
-        raise CompatibilityError(f"checkpoint {path}: header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    where = f"checkpoint {path}: header"
+    check_fields(header, {"format_version": int}, where)
+    if header["format_version"] != CHECKPOINT_VERSION:
         raise CompatibilityError(f"checkpoint {path}: unsupported format version "
-                                 f"{header.get('format_version')}")
-    for key, kind in _HEADER_FIELDS.items():
-        if not isinstance(header.get(key), kind):
-            what = "is missing" if key not in header else "has the wrong type"
-            raise CompatibilityError(f"checkpoint {path}: header field {key!r} {what}")
+                                 f"{header['format_version']}")
+    check_fields(header, _HEADER_FIELDS, where)
     shapes = header["param_shapes"]
     if len(shapes) % 2 or not all(
             isinstance(s, list) and all(isinstance(v, int) and v >= 0 for v in s)
@@ -331,10 +291,7 @@ def _read_checkpoint(path) -> tuple[dict, np.ndarray]:
         raise CompatibilityError(f"checkpoint {path}: header field 'param_shapes' "
                                  "is not a list of (weight, bias) shapes")
     if header["norm"] is not None:
-        for key in ("mean", "std", "floored_dims"):
-            if not isinstance(header["norm"].get(key), list):
-                raise CompatibilityError(
-                    f"checkpoint {path}: header field 'norm.{key}' is missing")
+        check_fields(header["norm"], NORM_FIELDS, where, "norm.")
     body = len(raw) - nl - 1
     expect = sum(int(np.prod(s)) for s in shapes)
     if body != 8 * expect:

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor, zero_grads
+from .autodiff import Tape, Tensor
 from .datasets import TrajectorySet, dataset_hash
 from .errors import CompatibilityError, DivergenceError, ShapeError
-from .model import Checkpoint, MpNodeModel, checkpoint_hash, rollout_batch
+from .model import Checkpoint, MpNodeModel, checkpoint_hash, rollout_group
 from .rng import Rng, derive
 
 LOSS_KINDS = ("mse", "huber_time")
@@ -199,12 +199,8 @@ def _batch_loss(model: MpNodeModel, ts: TrajectorySet, indices: list[int],
                 cfg: TrainConfig, T_roll: int, loss_fn) -> Tensor:
     total = None
     for gi, rows in ts.adjacency_groups(indices):
-        x0 = ts.data[rows, 0]
         target = ts.data[rows, :T_roll].transpose(1, 0, 2, 3)
-        controls = ts.controls[rows, :T_roll] if ts.c > 0 else None
-        pred, _ = rollout_batch(model, ts.graphs[gi], x0, T_roll, ts.dt,
-                                controls=controls, clamp_messages=cfg.clamp_messages,
-                                record_messages=False)
+        pred, _ = rollout_group(model, ts, gi, rows, T_roll, cfg.clamp_messages)
         part = ad.scale(loss_fn(pred, target), len(rows) / len(indices))
         total = part if total is None else ad.add(total, part)
     return total
@@ -218,12 +214,8 @@ def _eval_metrics(model: MpNodeModel, ts: TrajectorySet, cfg: TrainConfig,
     per_traj = np.empty(ts.n_traj)
     std = ts.norm.std
     for gi, rows in ts.adjacency_groups():
-        x0 = ts.data[rows, 0]
         target = ts.data[rows, :T_roll].transpose(1, 0, 2, 3)
-        controls = ts.controls[rows, :T_roll] if ts.c > 0 else None
-        pred, _ = rollout_batch(model, ts.graphs[gi], x0, T_roll, ts.dt,
-                                controls=controls, clamp_messages=cfg.clamp_messages,
-                                record_messages=False)
+        pred, _ = rollout_group(model, ts, gi, rows, T_roll, cfg.clamp_messages)
         loss_acc += loss_fn(pred, target).item() * (len(rows) / ts.n_traj)
         diff = (pred.data - target) * std  # means cancel in the residual
         per_traj[rows] = np.mean(diff * diff, axis=(0, 2, 3))
@@ -254,7 +246,6 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             chunk = order[lo:lo + cfg.batch_size]
-            zero_grads(params)
             try:
                 with Tape() as tape:
                     loss = _batch_loss(model, train_set, chunk, cfg, T_roll, loss_fn)
@@ -276,7 +267,6 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
                 halt.run_record = record
                 raise halt from err
             epoch_loss += loss.item() * len(chunk)
-        zero_grads(params)
         train_loss = epoch_loss / train_set.n_traj
         val_loss = test_error = None
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
@@ -290,8 +280,12 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
         record.append(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
                       test_error=test_error, wall_seconds=time.perf_counter() - t0)
     if best is None:
-        best = (float("nan"), cfg.epochs, _snapshot(model),
-                record.rows[-1].train_loss if record.rows else float("nan"))
+        if cfg.epochs >= 1:
+            halt = DivergenceError(f"no epoch validated: validation diverged at every "
+                                   f"evaluation of {cfg.epochs} epochs")
+            halt.run_record = record
+            raise halt
+        best = (float("nan"), 0, _snapshot(model), float("nan"))
     best_model = model.copy()
     for p, data in zip(best_model.parameters(), best[2]):
         p.data = data

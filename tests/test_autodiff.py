@@ -33,31 +33,6 @@ def grad_of(build, *arrays):
     return [grads[t] for t in tensors]
 
 
-class TestMatvec:
-    def test_hand_example(self):
-        y = ad.matvec(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([1.0, 1.0]))
-        assert np.array_equal(y.data, [3.0, 7.0])
-
-    def test_identity(self):
-        x = np.array([5.0, -2.0, 0.0])
-        y = ad.matvec(Tensor(np.eye(3)), Tensor(x))
-        assert np.array_equal(y.data, x)
-
-    def test_grad_x_is_column_sums(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((4, 3))
-        x = rng.standard_normal(3)
-        gw, gx = grad_of(lambda wt, xt: ad.sum_all(ad.matvec(wt, xt)), w, x)
-        fd = fd_gradient(lambda v: float((w @ v).sum()), x.copy())
-        assert np.allclose(gx, w.sum(axis=0), atol=1e-12)
-        assert np.allclose(gx, fd, rtol=1e-6)
-        assert np.allclose(gw, np.tile(x, (4, 1)), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            ad.matvec(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
-
-
 class TestAddScale:
     def test_add(self):
         out = ad.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
@@ -69,117 +44,72 @@ class TestAddScale:
         assert np.array_equal(out.data, a)
 
     def test_add_grad_is_ones(self):
-        ga, gb = grad_of(lambda a, b: ad.sum_all(ad.add(a, b)),
+        # under a mean over two elements each addend's adjoint is 1/2
+        ga, gb = grad_of(lambda a, b: ad.mean_all(ad.add(a, b)),
                          np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-        assert np.array_equal(ga, np.ones(2)) and np.array_equal(gb, np.ones(2))
+        assert np.array_equal(ga, np.full(2, 0.5)) and np.array_equal(gb, np.full(2, 0.5))
 
     def test_add_same_tensor_twice(self):
         x = ad.parameter([1.0, 2.0])
         with Tape() as tape:
-            loss = ad.sum_all(ad.add(x, x))
-        assert np.array_equal(tape.backward(loss, params=[x])[x], [2.0, 2.0])
+            loss = ad.mean_all(ad.add(x, x))
+        assert np.array_equal(tape.backward(loss, params=[x])[x], [1.0, 1.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.add(Tensor([1.0]), Tensor([1.0, 2.0]))
 
 
-class TestTanh:
-    def test_zero(self):
-        assert ad.tanh_act(Tensor([0.0])).data[0] == 0.0
-
-    def test_odd_symmetry(self):
-        x = np.linspace(-3, 3, 13)
-        assert np.array_equal(ad.tanh_act(Tensor(-x)).data, -ad.tanh_act(Tensor(x)).data)
-
-    def test_derivative_at_zero(self):
-        (g,) = grad_of(lambda x: ad.sum_all(ad.tanh_act(x)), np.array([0.0]))
-        fd = fd_gradient(lambda v: float(np.tanh(v).sum()), np.array([0.0]))
-        assert abs(g[0] - 1.0) < 1e-12
-        assert np.allclose(g, fd, atol=1e-9)
-
-
 class TestConcatSlice:
     def test_concat(self):
-        out = ad.concat([Tensor([1.0, 2.0]), Tensor([3.0])])
-        assert np.array_equal(out.data, [1.0, 2.0, 3.0])
+        out = ad.concat_cols([Tensor([[1.0, 2.0]]), Tensor([[3.0]])])
+        assert np.array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_concat_empty_identity(self):
-        out = ad.concat([Tensor([1.0, 2.0]), Tensor(np.zeros(0))])
-        assert np.array_equal(out.data, [1.0, 2.0])
+        out = ad.concat_cols([Tensor([[1.0, 2.0]]), Tensor(np.zeros((1, 0)))])
+        assert np.array_equal(out.data, [[1.0, 2.0]])
 
     def test_slice_basics(self):
-        x = Tensor([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(ad.vec_slice(x, 0, 2).data, [1.0, 2.0])
-        assert np.array_equal(ad.vec_slice(x, 0, 4).data, x.data)
+        x = Tensor([[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(ad.col_slice(x, 0, 2).data, [[1.0, 2.0]])
+        assert np.array_equal(ad.col_slice(x, 0, 4).data, x.data)
 
     def test_slice_concat_roundtrip(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0, 5.0])
-        joined = ad.concat([a, b])
-        assert np.array_equal(ad.vec_slice(joined, 2, 5).data, b.data)
+        a, b = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0, 5.0]])
+        joined = ad.concat_cols([a, b])
+        assert np.array_equal(ad.col_slice(joined, 2, 5).data, b.data)
         # and the other direction: concat of adjacent slices rebuilds exactly
-        x = Tensor([7.0, -1.0, 0.5, 2.5])
-        rebuilt = ad.concat([ad.vec_slice(x, 0, 2), ad.vec_slice(x, 2, 4)])
+        x = Tensor([[7.0, -1.0, 0.5, 2.5]])
+        rebuilt = ad.concat_cols([ad.col_slice(x, 0, 2), ad.col_slice(x, 2, 4)])
         assert np.array_equal(rebuilt.data, x.data)
 
     def test_slice_adjoint_zero_outside_window(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        (g,) = grad_of(lambda t: ad.sum_all(ad.square(ad.vec_slice(t, 1, 3))), x)
-        fd = fd_gradient(lambda v: float((v[1:3] ** 2).sum()), x.copy())
-        assert g[0] == 0.0 and g[3] == 0.0
+        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        (g,) = grad_of(lambda t: ad.mean_all(ad.square(ad.col_slice(t, 1, 3))), x)
+        fd = fd_gradient(lambda v: float((v[:, 1:3] ** 2).mean()), x.copy())
+        assert g[0, 0] == 0.0 and g[0, 3] == 0.0
         assert np.allclose(g, fd, rtol=1e-6)
 
     def test_out_of_range(self):
         with pytest.raises(ShapeError):
-            ad.vec_slice(Tensor([1.0, 2.0]), 1, 4)
+            ad.col_slice(Tensor([[1.0, 2.0]]), 1, 4)
         with pytest.raises(ShapeError):
-            ad.concat([Tensor([[1.0]])])
-
-
-class TestMeanOverSet:
-    def test_pairs(self):
-        out = ad.mean_over_set([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-        assert np.array_equal(out.data, [2.0, 3.0])
-
-    def test_singleton_identity(self):
-        v = np.array([0.7, -0.3])
-        assert np.array_equal(ad.mean_over_set([Tensor(v)]).data, v)
-
-    def test_grad_is_inverse_count(self):
-        arrays = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])]
-        grads = grad_of(lambda *vs: ad.sum_all(ad.mean_over_set(list(vs))), *arrays)
-        for g in grads:
-            assert np.allclose(g, 1.0 / 3.0, atol=1e-15)
-
-    def test_copies_of_same_vector(self):
-        v = np.array([0.1, 0.2, -0.7])
-        out = ad.mean_over_set([Tensor(v) for _ in range(4)])
-        assert np.allclose(out.data, v, rtol=1e-15)
-
-    def test_order_independent_bits(self):
-        rng = np.random.default_rng(3)
-        vs = [rng.standard_normal(5) for _ in range(7)]
-        a = ad.mean_over_set([Tensor(v) for v in vs]).data
-        b = ad.mean_over_set([Tensor(vs[i]) for i in rng.permutation(7)]).data
-        assert np.array_equal(a, b)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            ad.mean_over_set([])
+            ad.concat_cols([Tensor([[1.0]]), Tensor([[1.0], [2.0]])])
 
 
 class TestBackward:
     def test_sum_of_squares(self):
+        # d/dx of the mean of x*x over two elements is x
         x = ad.parameter([1.0, 2.0])
         with Tape() as tape:
-            loss = ad.sum_all(ad.square(x))
-        assert np.array_equal(tape.backward(loss, params=[x])[x], [2.0, 4.0])
+            loss = ad.mean_all(ad.square(x))
+        assert np.array_equal(tape.backward(loss, params=[x])[x], [1.0, 2.0])
 
     def test_unused_leaf_gets_zero(self):
         x = ad.parameter([1.0, 2.0])
         unused = ad.parameter([5.0])
         with Tape() as tape:
-            loss = ad.sum_all(x)
+            loss = ad.mean_all(x)
         grads = tape.backward(loss, params=[x, unused])
         assert np.array_equal(grads[unused], [0.0])
 
@@ -193,12 +123,13 @@ class TestBackward:
     def test_deterministic_bits(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((6, 4))
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((3, 4))
+        b = rng.standard_normal(6)
 
         def once():
             wt, xt = ad.parameter(w.copy()), ad.parameter(x.copy())
             with Tape() as tape:
-                loss = ad.mean_all(ad.square(ad.tanh_act(ad.matvec(wt, xt))))
+                loss = ad.mean_all(ad.square(ad.dense(xt, wt, Tensor(b), "tanh")))
             g = tape.backward(loss, params=[wt, xt])
             return loss.data.copy(), g[wt].copy(), g[xt].copy()
 
@@ -224,6 +155,12 @@ class TestDense:
         fast = ad.dense(Tensor(x), Tensor(w), Tensor(b))
         stab = ad.dense(Tensor(x), Tensor(w), Tensor(b), stable=True)
         assert np.allclose(fast.data, stab.data, rtol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_input_rank_other_than_two_rejected(self, shape):
+        w, b = Tensor(np.ones((5, 4))), Tensor(np.zeros(5))
+        with pytest.raises(ShapeError):
+            ad.dense(Tensor(np.ones(shape)), w, b)
 
     @pytest.mark.parametrize("stable", [False, True])
     @pytest.mark.parametrize("activation", [None, "tanh", "relu"])
@@ -272,16 +209,22 @@ class TestNeighborMean:
         out = ad.neighbor_mean(mask, Tensor(np.tile(v, (n, 1))))
         assert np.allclose(out.data, np.tile(v, (n, 1)), rtol=1e-15)
 
-    def test_matches_mean_over_set(self):
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_matches_plain_neighbor_loop(self, stable):
         rng = np.random.default_rng(13)
         mask = (rng.random((5, 5)) < 0.6).astype(float)
         np.fill_diagonal(mask, 0.0)
-        x = rng.standard_normal((5, 3))
-        out = ad.neighbor_mean(mask, Tensor(x), stable=True)
-        for k in range(5):
-            nbrs = [Tensor(x[j]) for j in np.nonzero(mask[k])[0]]
-            expect = ad.mean_over_set(nbrs).data if nbrs else np.zeros(3)
-            assert np.allclose(out.data[k], expect, rtol=1e-12, atol=1e-15)
+        x = rng.standard_normal((10, 3))  # two batch blocks of 5 nodes
+        out = ad.neighbor_mean(mask, Tensor(x), stable=stable)
+        for b in range(2):
+            for k in range(5):
+                total, count = np.zeros(3), 0
+                for j in range(5):
+                    if mask[k, j] > 0.0:
+                        total += x[5 * b + j]
+                        count += 1
+                expect = total / count if count else np.zeros(3)
+                assert np.allclose(out.data[5 * b + k], expect, rtol=1e-12, atol=1e-15)
 
     def test_batched_blocks(self):
         rng = np.random.default_rng(14)
@@ -340,18 +283,18 @@ class TestOrderedSum:
 class TestFiniteDiffCheck:
     def test_quadratic_is_nearly_exact(self):
         p = ad.parameter(np.array([1.0, -2.0, 0.5]))
-        err = ad.finite_diff_check(lambda ps: ad.sum_all(ad.square(ps[0])), [p])
+        err = ad.finite_diff_check(lambda ps: ad.mean_all(ad.square(ps[0])), [p])
         assert err < 1e-9
 
     def test_constant_function(self):
         p = ad.parameter(np.array([1.0, 2.0]))
-        err = ad.finite_diff_check(lambda ps: ad.sum_all(Tensor([0.0]).detach()), [p])
+        err = ad.finite_diff_check(lambda ps: ad.mean_all(Tensor([0.0])), [p])
         assert err == 0.0
 
     def test_rejects_bad_eps(self):
         p = ad.parameter(np.array([1.0]))
         with pytest.raises(ValueError):
-            ad.finite_diff_check(lambda ps: ad.sum_all(ps[0]), [p], eps=0.0)
+            ad.finite_diff_check(lambda ps: ad.mean_all(ps[0]), [p], eps=0.0)
 
 
 class TestRandomizedOpGradients:
@@ -361,17 +304,12 @@ class TestRandomizedOpGradients:
         rng = np.random.default_rng(33)
         for trial in range(5):
             x = rng.standard_normal((4, 3))
-            w = rng.standard_normal((5, 4))
 
             cases = {
                 "scale": (lambda t: ad.mean_all(ad.scale(t, -1.7)),
                           lambda v: float((v * -1.7).mean()), x),
                 "sub": (lambda t: ad.mean_all(ad.square(ad.sub(t, Tensor(np.ones((4, 3)))))),
                         lambda v: float(((v - 1) ** 2).mean()), x),
-                "add_bias": (lambda t: ad.mean_all(ad.add_bias(Tensor(x), t)),
-                             lambda v: float((x + v).mean()), rng.standard_normal(3)),
-                "relu": (lambda t: ad.mean_all(ad.relu_act(t)),
-                         lambda v: float(np.maximum(v, 0).mean()), x),
                 "stack": (lambda t: ad.mean_all(ad.stack([t, ad.scale(t, 2.0)])),
                           lambda v: float(np.stack([v, 2 * v]).mean()), x),
                 "reshape": (lambda t: ad.mean_all(ad.square(ad.reshape(t, (12,)))),
@@ -384,8 +322,6 @@ class TestRandomizedOpGradients:
                 "huber": (lambda t: ad.mean_all(ad.huber(t, 0.8)),
                           lambda v: float(np.where(np.abs(v) <= 0.8, 0.5 * v * v,
                                                    0.8 * (np.abs(v) - 0.4)).mean()), x),
-                "matmul": (lambda t: ad.mean_all(ad.square(ad.matmul(Tensor(w), t))),
-                           lambda v: float(((w @ v) ** 2).mean()), x),
             }
             for name, (build, value, arr) in cases.items():
                 (g,) = grad_of(build, arr)
@@ -399,25 +335,33 @@ def test_concurrent_tapes_share_readonly_params():
 
     rng = np.random.default_rng(55)
     w = ad.parameter(rng.standard_normal((6, 4)))
-    inputs = [rng.standard_normal(4) for _ in range(8)]
+    b = ad.parameter(rng.standard_normal(6))
+    before = w.data.copy(), b.data.copy()
+    inputs = [rng.standard_normal((3, 4)) for _ in range(8)]
     results = [None] * 8
+
+    def loss_of(i):
+        return ad.mean_all(ad.square(ad.dense(Tensor(inputs[i]), w, b, "tanh")))
 
     def work(i):
         with Tape() as tape:
-            loss = ad.mean_all(ad.square(ad.matvec(w, Tensor(inputs[i]))))
-        results[i] = tape.backward(loss, params=[w], write_grads=False)[w]
+            loss = loss_of(i)
+        results[i] = tape.backward(loss, params=[w, b])
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert w.grad is None  # parameters stayed read-only during the passes
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    # parameters stayed read-only during the passes
+    assert np.array_equal(w.data, before[0]) and np.array_equal(b.data, before[1])
     for i in range(8):
         with Tape() as tape:
-            loss = ad.mean_all(ad.square(ad.matvec(w, Tensor(inputs[i]))))
-        serial = tape.backward(loss, params=[w], write_grads=False)[w]
-        assert np.array_equal(results[i], serial)
+            loss = loss_of(i)
+        serial = tape.backward(loss, params=[w, b])
+        assert np.array_equal(results[i][w], serial[w])
+        assert np.array_equal(results[i][b], serial[b])
 
 
 def test_assert_finite_raises():

@@ -2,6 +2,7 @@
 pca, plot; exit codes; reproducibility of outputs."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,40 @@ MALFORMED_CHECKPOINTS = {
     "missing header key": (lambda raw: _drop_header_key(raw, "hidden"),
                            "'hidden' is missing"),
     "truncated parameters": (lambda raw: raw[:-3], "parameter blocks"),
+}
+
+
+
+def _edit_manifest(**changes):
+    """A corruption of a manifest: set the given fields, or delete those set
+    to None."""
+    def corrupt(manifest):
+        for key, value in changes.items():
+            if value is None:
+                del manifest[key]
+            else:
+                manifest[key] = value
+        return json.dumps(manifest)
+    return corrupt
+
+
+# case -> (corruption of a valid manifest's JSON object, text the error must name)
+MALFORMED_MANIFESTS = {
+    "bad json": (lambda m: "{not json", "not valid JSON"),
+    "not an object": (lambda m: "[]", "is not a JSON object"),
+    "missing dt": (_edit_manifest(dt=None), "'dt' is missing"),
+    "missing n_traj": (_edit_manifest(n_traj=None), "'n_traj' is missing"),
+    "missing graphs": (_edit_manifest(graphs=None), "'graphs' is missing"),
+    "T as a string": (_edit_manifest(T="11"), "'T' has the wrong type"),
+    "negative sizes": (_edit_manifest(n_traj=-10, T=-11), "'n_traj' is negative"),
+    "graph entry missing a field": (
+        _edit_manifest(graphs=[{"n": 6, "topology_tag": "fixed", "seed": 5}]),
+        "'graphs[0].adjacency_offset' is missing"),
+    "adjacency index out of range": (
+        lambda m: _edit_manifest(adjacency_index_per_traj=[1] * m["n_traj"])(m),
+        "'adjacency_index_per_traj'"),
+    "system params of another kind": (
+        _edit_manifest(system={"kind": "lorenz", "params": {}}), "'system.params'"),
 }
 
 
@@ -183,6 +218,22 @@ class TestTrainEval:
         assert code == 3
         err = capsys.readouterr().err
         assert str(ckpt) in err and field in err
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_exit_3(self, tmp_path, tiny_config, dataset_dir, capsys,
+                                       case):
+        corrupt, field = MALFORMED_MANIFESTS[case]
+        data = tmp_path / "bad_data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.json"
+        manifest.write_text(corrupt(json.loads(manifest.read_text())))
+        code = main(["train", "--config", str(tiny_config), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and field in err
+        assert len(err) < 500
 
 
 class TestAblateSweepPcaPlot:

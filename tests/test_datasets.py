@@ -94,12 +94,12 @@ class TestGenerate:
         ts = generate_dataset(sys, gs, n_traj=11, horizon=0.5, dt=0.1, seed=26)
         assert list(ts.adjacency_index) == [i % 5 for i in range(11)]
         assert len(ts.graphs) == 5
-        assert ts.graph_of(7) is ts.graphs[2]
+        assert ts.graphs[ts.adjacency_index[7]] is ts.graphs[2]
 
     def test_one_step_reproduction(self, kuramoto_set):
         # stored (possibly normalized) data re-simulates step to step
         ts = kuramoto_set
-        f = dynamics.system_rhs(ts.system.with_coupling(ts.graph_of(0)))
+        f = dynamics.system_rhs(ts.system.with_coupling(ts.graphs[ts.adjacency_index[0]]))
         for t in (0, 10, 40):
             step = dynamics.rk4_step(lambda g, u: f(g), ts.data[0, t], None, ts.dt)
             assert np.abs(step - ts.data[0, t + 1]).max() < 1e-9

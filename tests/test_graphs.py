@@ -7,7 +7,7 @@ import pytest
 from mpnode import graphs
 from mpnode.graphs import (GraphSpec, gen_barabasi_albert, gen_erdos_renyi,
                            gen_fixed_degree, gen_fully_connected_weighted,
-                           gen_watts_strogatz, neighbors_of)
+                           gen_watts_strogatz)
 
 
 def check_symmetric_binary(g: GraphSpec):
@@ -145,29 +145,6 @@ class TestFixedDegree:
         for seed in range(30):
             g = gen_fixed_degree(10, 5, seed=seed)
             assert np.array_equal(g.adjacency.sum(axis=1), np.full(10, 5.0))
-
-
-class TestNeighborsOf:
-    def test_complete_graph(self):
-        g = gen_fully_connected_weighted(3, 1.0, seed=12)
-        nbrs = neighbors_of(g, 0)
-        assert [j for j, _ in nbrs] == [1, 2]
-        assert all(w == g.adjacency[0, j] for j, w in nbrs)
-
-    def test_empty_graph(self):
-        g = gen_erdos_renyi(4, 0.0, seed=0)
-        assert neighbors_of(g, 2) == []
-
-    def test_symmetry(self):
-        g = gen_erdos_renyi(12, 0.4, seed=13)
-        for k in range(12):
-            for j, _ in neighbors_of(g, k):
-                assert k in [i for i, _ in neighbors_of(g, j)]
-
-    def test_index_out_of_range(self):
-        g = gen_erdos_renyi(4, 0.5, seed=0)
-        with pytest.raises(IndexError):
-            neighbors_of(g, 4)
 
 
 class TestDeterminismAndInvariants:

@@ -10,9 +10,8 @@ from mpnode.autodiff import Tensor
 from mpnode.datasets import NormStats
 from mpnode.dynamics import rk4_step
 from mpnode.errors import CompatibilityError, ShapeError
-from mpnode.model import (AugmentedSystemState, aggregate_incoming, augmented_rhs,
-                          init_model, load_checkpoint, mlp_forward, mpnode_step,
-                          rollout, rollout_batch, save_checkpoint)
+from mpnode.model import (_advance, init_model, load_checkpoint, mlp_forward, rollout,
+                          rollout_batch, save_checkpoint)
 
 
 def zeroed_last_layer(model):
@@ -25,8 +24,8 @@ class TestMlpForward:
     def test_zero_final_layer_zero_output(self):
         model = zeroed_last_layer(init_model(2, 3, 0, hidden=(8,), seed=1))
         rng = np.random.default_rng(2)
-        out = mlp_forward(model, Tensor(rng.standard_normal(5)))
-        assert np.array_equal(out.data, np.zeros(5))
+        out = mlp_forward(model, Tensor(rng.standard_normal((1, 5))))
+        assert np.array_equal(out.data, np.zeros((1, 5)))
 
     def test_weight_sharing_identical_outputs(self):
         model = init_model(2, 3, 0, hidden=(8,), seed=3)
@@ -36,7 +35,7 @@ class TestMlpForward:
 
     def test_gradient_vs_finite_differences(self):
         model = init_model(2, 2, 0, hidden=(8,), seed=5)
-        z = np.random.default_rng(6).standard_normal(4)
+        z = np.random.default_rng(6).standard_normal((1, 4))
 
         def f(params):
             return ad.mean_all(ad.square(mlp_forward(model, Tensor(z))))
@@ -46,76 +45,58 @@ class TestMlpForward:
     def test_width_mismatch(self):
         model = init_model(2, 3, 0, seed=7)
         with pytest.raises(ShapeError):
-            mlp_forward(model, Tensor(np.zeros(4)))
+            mlp_forward(model, Tensor(np.zeros((1, 4))))
 
     def test_param_count_independent_of_nodes(self):
         # one shared parameter set: the model never sees a node count
         model = init_model(3, 7, 0, hidden=(64, 64), seed=8)
         expect = (64 * 10 + 64) + (64 * 64 + 64) + (10 * 64 + 10)
         assert sum(t.size for t in model.parameters()) == expect
+        # one row of d+p outputs: the time derivative of [x_k; m_k]
+        assert mlp_forward(model, Tensor(np.zeros((1, 10)))).shape == (1, 10)
 
 
-class TestAggregateIncoming:
-    def test_two_neighbors(self):
-        g = graphs.explicit_graph([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-        msgs = [Tensor([9.0, 9.0]), Tensor([1.0, 2.0]), Tensor([3.0, 4.0])]
-        out = aggregate_incoming(g, msgs, 0)
-        assert np.allclose(out.data, [2.0, 3.0])
-
-    def test_isolated_node_zeros(self):
-        g = graphs.explicit_graph(np.zeros((2, 2)))
-        out = aggregate_incoming(g, [Tensor([1.0]), Tensor([2.0])], 0)
-        assert np.array_equal(out.data, [0.0])
-
-    def test_complete_graph_shared_message(self):
-        g = graphs.gen_erdos_renyi(4, 1.0, seed=9)
-        v = np.array([0.5, -1.5])
-        out = aggregate_incoming(g, [Tensor(v) for _ in range(4)], 2)
-        assert np.allclose(out.data, v, rtol=1e-15)
+def neighbor_means(adjacency, m):
+    """Plain-loop reference: mean of the neighbours' rows of m, zeros when
+    a node has no neighbours."""
+    out = np.zeros_like(m)
+    for k in range(len(adjacency)):
+        nbrs = [m[j] for j in range(len(adjacency)) if adjacency[k][j] > 0.0]
+        if nbrs:
+            out[k] = sum(nbrs) / len(nbrs)
+    return out
 
 
-class TestAugmentedRhs:
-    def test_zero_message_width_reduces_to_plain_ode(self):
-        model = init_model(3, 0, 0, hidden=(8,), seed=10)
-        x = np.random.default_rng(11).standard_normal(3)
-        via_aug = augmented_rhs(model, Tensor(x), Tensor(np.zeros(0)))
-        direct = mlp_forward(model, Tensor(x))
-        assert np.array_equal(via_aug.data, direct.data)
-
-    def test_zero_final_layer_static(self):
-        model = zeroed_last_layer(init_model(2, 2, 0, hidden=(8,), seed=12))
-        out = augmented_rhs(model, Tensor([0.3, 0.4]), Tensor([0.1, 0.2]))
-        assert np.array_equal(out.data, np.zeros(4))
-
-    def test_output_width(self):
-        model = init_model(3, 7, 0, seed=13)
-        out = augmented_rhs(model, Tensor(np.zeros(3)), Tensor(np.zeros(7)))
-        assert out.shape == (10,)
+def advance(model, g, x, m, dt):
+    """One observation step of `_advance` on the [n, d+p] block [x, m] with
+    the stable kernels; returns the new x and outgoing messages."""
+    d = model.state_dim
+    aug = _advance(model, g.neighbor_mask(), Tensor(np.concatenate([x, m], axis=1)),
+                   None, dt, stable=True)
+    return aug.data[:, :d], aug.data[:, d:]
 
 
 class TestMpnodeStep:
     def test_zero_parameter_model_keeps_state(self):
-        g = graphs.gen_erdos_renyi(3, 1.0, seed=14)
+        g = graphs.gen_erdos_renyi(5, 0.5, seed=14)
         model = zeroed_last_layer(init_model(2, 2, 0, hidden=(8,), seed=15))
         rng = np.random.default_rng(16)
-        x, m = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-        out = mpnode_step(model, g, AugmentedSystemState(Tensor(x), Tensor(m)),
-                          None, dt=0.1)
-        assert np.array_equal(out.x.data, x)
+        x, m = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        new_x, new_m = advance(model, g, x, m, dt=0.1)
+        assert np.array_equal(new_x, x)
         # zero derivative: outgoing messages become the aggregated ones
-        for k in range(3):
-            nbrs = [Tensor(m[j]) for j in range(3) if j != k]
-            assert np.allclose(out.m.data[k], ad.mean_over_set(nbrs).data, rtol=1e-12)
+        expect = neighbor_means(g.adjacency, m)
+        assert np.any(expect != 0.0)
+        assert np.allclose(new_m, expect, rtol=1e-12, atol=1e-15)
 
     def test_isolated_node_p0_equals_plain_rk4(self):
         g = graphs.explicit_graph(np.zeros((1, 1)))
         model = init_model(3, 0, 0, hidden=(8,), seed=17)
         x = np.random.default_rng(18).standard_normal((1, 3))
-        out = mpnode_step(model, g, AugmentedSystemState(Tensor(x), Tensor(np.zeros((1, 0)))),
-                          None, dt=0.05)
+        new_x, _ = advance(model, g, x, np.zeros((1, 0)), dt=0.05)
         ref = rk4_step(lambda a, u: mlp_forward(model, a, stable=True),
                        Tensor(x), None, 0.05)
-        assert np.array_equal(out.x.data, ref.data)
+        assert np.array_equal(new_x, ref.data)
 
     def test_permutation_equivariance_random_instances(self):
         rng = np.random.default_rng(19)
@@ -128,13 +109,10 @@ class TestMpnodeStep:
             x = rng.standard_normal((n, d))
             m = rng.standard_normal((n, p))
             perm = rng.permutation(n)
-            out = mpnode_step(model, g, AugmentedSystemState(Tensor(x), Tensor(m)),
-                              None, dt=0.1)
-            out_p = mpnode_step(model, g.permuted(perm),
-                                AugmentedSystemState(Tensor(x[perm]), Tensor(m[perm])),
-                                None, dt=0.1)
-            assert np.array_equal(out.x.data[perm], out_p.x.data), f"trial {trial}"
-            assert np.array_equal(out.m.data[perm], out_p.m.data), f"trial {trial}"
+            out_x, out_m = advance(model, g, x, m, dt=0.1)
+            perm_x, perm_m = advance(model, g.permuted(perm), x[perm], m[perm], dt=0.1)
+            assert np.array_equal(out_x[perm], perm_x), f"trial {trial}"
+            assert np.array_equal(out_m[perm], perm_m), f"trial {trial}"
 
 
 class TestRollout:

@@ -169,7 +169,6 @@ class TestTrainLoop:
         T = train_set.T
         data = train_set.data[:4]
 
-        ad.zero_grads(params)
         with Tape() as tape:
             pred, _ = rollout_batch(model, g, data[:, 0], T, train_set.dt,
                                     record_messages=False)
@@ -178,7 +177,6 @@ class TestTrainLoop:
 
         sums = [np.zeros(p.shape) for p in params]
         for i in range(4):
-            ad.zero_grads(params)
             with Tape() as tape:
                 pred, _ = rollout_batch(model, g, data[i:i + 1, 0], T, train_set.dt,
                                         record_messages=False)
@@ -222,10 +220,14 @@ class TestTrainLoop:
         for w in model.weights:
             w.data *= 10.0  # steep enough that only the huge state overflows
         cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=0.0, seed=21)
-        _, record = train(model, train_set, val_set, cfg)
+        # no epoch validated: the run fails instead of returning a NaN checkpoint
+        with pytest.raises(DivergenceError, match="no epoch validated") as info:
+            train(model, train_set, val_set, cfg)
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(": ")[:2] for line in lines] == \
             [["epoch 1", "validation diverged"], ["epoch 2", "validation diverged"]]
+        record = info.value.run_record
+        assert len(record.rows) == 2
         assert all(r.val_loss is None and r.test_error is None for r in record.rows)
 
     def test_rollout_horizon_option(self, tiny_kuramoto):
