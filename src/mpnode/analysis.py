@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import TrajectorySet, dataset_hash, zscore_apply, zscore_invert
+from .datasets import (TrajectorySet, dataset_hash, write_atomic, zscore_apply,
+                       zscore_invert)
 from .errors import CompatibilityError, DivergenceError, ShapeError
 from .model import Checkpoint, MpNodeModel, checkpoint_hash, rollout_group
 from .training import RunRecord
@@ -43,7 +44,7 @@ class EvalReport:
             "fingerprint": self.fingerprint,
             "std_convention": "across trajectories",
         }
-        Path(path).write_text(json.dumps(payload, indent=1))
+        write_atomic(path, json.dumps(payload, indent=1))
 
 
 def _spread(values: np.ndarray) -> float:
@@ -122,10 +123,7 @@ def epochs_times_min_error(record: RunRecord) -> float:
     entries = record.test_errors()
     if not entries:
         raise ValueError("record holds no test errors")
-    best_epoch, best_err = entries[0]
-    for epoch, err in entries[1:]:
-        if err < best_err:
-            best_epoch, best_err = epoch, err
+    best_epoch, best_err = min(entries, key=lambda entry: entry[1])
     return best_epoch * best_err
 
 

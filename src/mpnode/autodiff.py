@@ -151,20 +151,16 @@ def ordered_sum(values: np.ndarray, axis: int) -> np.ndarray:
     result invariant to any permutation of the addends, which is what makes
     neighbor reductions bit-exactly equivariant under node relabeling.
     """
-    return np.sort(values + 0.0, axis=axis).sum(axis=axis)
+    ordered = values + 0.0
+    ordered.sort(axis=axis)  # in place: np.sort would copy the block once more
+    return ordered.sum(axis=axis)
 
 
 def assert_finite(x, context: str = "value") -> None:
-    """Post-hoc NaN/Inf check; raises DivergenceError naming the context.
-
-    The offending array rides along on the exception's `values` attribute so
-    callers can report which rows went bad.
-    """
+    """Post-hoc NaN/Inf check; raises DivergenceError naming the context."""
     arr = x.data if isinstance(x, Tensor) else np.asarray(x)
     if not np.isfinite(arr).all():
-        err = DivergenceError(f"non-finite {context}")
-        err.values = arr
-        raise err
+        raise DivergenceError(f"non-finite {context}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,12 @@
 Exit codes: 0 ok, 2 config error, 3 compatibility error, 4 numerical
 divergence. Every command writes the resolved configuration it actually
 used into its output directory, and removes partial outputs on failure.
-MPNODE_THREADS caps internal parallelism (0 = auto).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -30,17 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COMPAT = 3
 EXIT_DIVERGED = 4
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MPNODE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MPNODE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("MPNODE_THREADS must be nonnegative")
-    return os.cpu_count() or 1 if n == 0 else n
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +113,7 @@ def build_system(block: dict, graph_list: list[graphs.GraphSpec],
 
 def build_train_config(block: dict, clamp_override: bool = False) -> training.TrainConfig:
     try:
-        cfg = training.TrainConfig(
+        return training.TrainConfig(
             learning_rate=float(block.get("learning_rate", 0.001)),
             batch_size=int(block.get("batch_size", 128)),
             epochs=int(block.get("epochs", 100)),
@@ -140,7 +127,6 @@ def build_train_config(block: dict, clamp_override: bool = False) -> training.Tr
         )
     except ValueError as err:
         raise ConfigError(str(err))
-    return cfg
 
 
 def _split_from_config(ts: datasets.TrajectorySet, cfg: dict):
@@ -202,8 +188,7 @@ def cmd_generate(args) -> int:
     system = build_system(cfg["system"], graph_list, seed)
     ts = datasets.generate_dataset(
         system, graph_list, n_traj=int(ds_block["n_traj"]),
-        horizon=float(ds_block["horizon"]), dt=float(ds_block["dt"]),
-        seed=seed, threads=thread_count())
+        horizon=float(ds_block["horizon"]), dt=float(ds_block["dt"]), seed=seed)
     datasets.save_dataset(ts, out)
     _write_resolved(out, "generate", cfg, args)
     print(f"wrote {ts.n_traj} trajectories (T={ts.T}, n={ts.n_nodes}, d={ts.d}) to {out}")
@@ -218,6 +203,20 @@ def _load_data(args) -> datasets.TrajectorySet:
     return datasets.load_dataset(args.data)
 
 
+def _load_checkpoint(args) -> model_mod.Checkpoint:
+    if not args.from_ckpt:
+        raise ConfigError(f"{args.command} needs --from CKPT")
+    if not Path(args.from_ckpt).exists():
+        raise ConfigError(f"checkpoint {args.from_ckpt} does not exist")
+    return model_mod.load_checkpoint(args.from_ckpt)
+
+
+def _write_run(out: Path, ckpt: model_mod.Checkpoint, record: training.RunRecord) -> None:
+    out.mkdir(exist_ok=True)
+    model_mod.save_checkpoint(ckpt.model, ckpt.norm, ckpt.provenance, out / "checkpoint.ckpt")
+    record.to_csv(out / "metrics.csv")
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     ts = _load_data(args)
@@ -226,8 +225,7 @@ def cmd_train(args) -> int:
     net = _build_model(cfg, ts)
     tc = build_train_config(cfg["train"], args.clamp_messages)
     ckpt, record = training.train(net, train_set, val_set, tc)
-    model_mod.save_checkpoint(ckpt.model, ckpt.norm, ckpt.provenance, out / "checkpoint.ckpt")
-    record.to_csv(out / "metrics.csv")
+    _write_run(out, ckpt, record)
     _write_resolved(out, "train", cfg, args)
     print(f"trained {tc.epochs} epochs; best val loss {ckpt.provenance['val_loss']:.6g} "
           f"at epoch {ckpt.provenance['epoch']}")
@@ -236,31 +234,21 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = load_config(args.config, args.seed)
-    if not args.from_ckpt:
-        raise ConfigError("finetune needs --from CKPT")
+    source = _load_checkpoint(args)
     ts = _load_data(args)
-    ckpt_path = Path(args.from_ckpt)
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint {ckpt_path} does not exist")
-    source = model_mod.load_checkpoint(ckpt_path)
     out = _prepare_out(args.out)
     train_set, val_set = _split_from_config(ts, cfg)
     tc = build_train_config(cfg["train"], args.clamp_messages)
     ckpt, record = training.finetune(source, train_set, val_set, tc)
-    model_mod.save_checkpoint(ckpt.model, ckpt.norm, ckpt.provenance, out / "checkpoint.ckpt")
-    record.to_csv(out / "metrics.csv")
+    _write_run(out, ckpt, record)
     _write_resolved(out, "finetune", cfg, args)
-    print(f"finetuned {tc.epochs} epochs from {ckpt_path}")
+    print(f"finetuned {tc.epochs} epochs from {args.from_ckpt}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    if not args.from_ckpt:
-        raise ConfigError("eval needs --from CKPT")
-    if not Path(args.from_ckpt).exists():
-        raise ConfigError(f"checkpoint {args.from_ckpt} does not exist")
+    ckpt = _load_checkpoint(args)
     ts = _load_data(args)
-    ckpt = model_mod.load_checkpoint(args.from_ckpt)
     cfg = load_config(args.config, args.seed) if args.config else None
     if args.split != "all":
         if cfg is None:
@@ -290,11 +278,7 @@ def cmd_ablate(args) -> int:
         net = _build_model(cfg, ts)
         tc = build_train_config(cfg["train"], clamp)
         ckpt, record = training.train(net, train_set, val_set, tc)
-        sub = out / label
-        sub.mkdir()
-        model_mod.save_checkpoint(ckpt.model, ckpt.norm, ckpt.provenance,
-                                  sub / "checkpoint.ckpt")
-        record.to_csv(sub / "metrics.csv")
+        _write_run(out / label, ckpt, record)
         records[label] = record
     series = [(label, [r.epoch for r in rec.rows], [r.train_loss for r in rec.rows])
               for label, rec in records.items()]
@@ -312,6 +296,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --message-sizes LIST")
     try:
         sizes = [int(s) for s in args.message_sizes.split(",") if s]
+        if len(set(sizes)) < len(sizes):
+            raise ValueError("a size repeats")
     except ValueError:
         raise ConfigError(f"bad --message-sizes {args.message_sizes!r}")
     ts = _load_data(args)
@@ -325,11 +311,7 @@ def cmd_sweep(args) -> int:
         net = _build_model(cfg_p, ts)
         tc = build_train_config(cfg_p["train"], args.clamp_messages)
         ckpt, record = training.train(net, train_set, val_set, tc)
-        sub = out / f"p{p}"
-        sub.mkdir()
-        model_mod.save_checkpoint(ckpt.model, ckpt.norm, ckpt.provenance,
-                                  sub / "checkpoint.ckpt")
-        record.to_csv(sub / "metrics.csv")
+        _write_run(out / f"p{p}", ckpt, record)
         entries = record.test_errors()
         series.append((f"p={p}", [e for e, _ in entries], [v for _, v in entries]))
         summary.append(f"{p},{record.best_test_error()!r},"
@@ -342,12 +324,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    if not args.from_ckpt:
-        raise ConfigError("pca needs --from CKPT")
-    if not Path(args.from_ckpt).exists():
-        raise ConfigError(f"checkpoint {args.from_ckpt} does not exist")
+    ckpt = _load_checkpoint(args)
     ts = _load_data(args)
-    ckpt = model_mod.load_checkpoint(args.from_ckpt)
     out = _prepare_out(args.out)
     net = ckpt.model
     if net.message_dim < 1:
@@ -371,7 +349,7 @@ def cmd_pca(args) -> int:
         "trajectories": int(n_traj),
         "components": int(k),
     }
-    (out / "pca.json").write_text(json.dumps(payload, indent=1))
+    datasets.write_atomic(out / "pca.json", json.dumps(payload, indent=1))
     _write_resolved(out, "pca", None, args)
     print(f"explained variance fractions: {payload['explained_variance']}")
     return EXIT_OK
@@ -459,10 +437,7 @@ def main(argv=None) -> int:
         if needs_config and not args.config:
             raise ConfigError(f"{args.command} needs --config FILE")
         return _COMMANDS[args.command](args)
-    except CompatibilityError as err:
-        print(f"compatibility error: {err}", file=sys.stderr)
-        code = EXIT_COMPAT
-    except ShapeError as err:
+    except (CompatibilityError, ShapeError) as err:
         print(f"compatibility error: {err}", file=sys.stderr)
         code = EXIT_COMPAT
     except (DivergenceError, DomainError) as err:

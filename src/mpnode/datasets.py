@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -50,6 +50,11 @@ class NormStats:
         object.__setattr__(self, "std", np.asarray(self.std, dtype=np.float64))
         if (self.std <= 0).any():
             raise ValueError("normalization std must be positive")
+
+    def to_dict(self) -> dict:
+        """The `norm` field of a manifest or a checkpoint header (see `read_norm`)."""
+        return {"mean": list(self.mean), "std": list(self.std),
+                "floored_dims": list(self.floored)}
 
 
 @dataclass
@@ -118,25 +123,22 @@ class TrajectorySet:
 
 def sample_initial_states(sys: SystemSpec, n_nodes: int, seed: int) -> np.ndarray:
     """Uniform per-system initial states, [n_nodes, d], node-major draw order."""
-    ranges = INIT_RANGES[sys.kind]
-    rng = Rng(derive(seed, 20))
-    out = np.empty((n_nodes, sys.state_dim))
-    for node in range(n_nodes):
-        for dim, (lo, hi) in enumerate(ranges):
-            out[node, dim] = rng.uniform_range(lo, hi)
-    return out
+    rng, ranges = Rng(derive(seed, 20)), INIT_RANGES[sys.kind]
+    draws = [rng.uniform_range(lo, hi) for _ in range(n_nodes) for lo, hi in ranges]
+    return np.array(draws, dtype=np.float64).reshape(n_nodes, sys.state_dim)
 
 
 def generate_dataset(sys: SystemSpec, graphs: GraphSpec | list[GraphSpec],
-                     n_traj: int, horizon: float, dt: float, seed: int,
-                     threads: int = 1) -> TrajectorySet:
+                     n_traj: int, horizon: float, dt: float, seed: int) -> TrajectorySet:
     """Simulate n_traj trajectories; graphs are assigned round-robin.
 
-    Each trajectory draws from its own stream derived from (seed, index), so
-    results do not depend on execution order or thread count. Initial
-    conditions whose fixed-step simulation leaves the finite domain (the
-    pendulum can reach its +-pi/2 singularity from inside its sampling
-    range) are redrawn from the next derived stream, up to 50 attempts.
+    Trajectory i draws its initial state from its own stream derive(seed, 0,
+    i, attempt), and the trajectories of one adjacency are integrated as one
+    `simulate_trajectory` batch, whose rows are bit-identical to one run per
+    trajectory; so the data depend on neither the batching nor n_traj.
+    Initial conditions whose fixed-step simulation leaves the finite domain
+    (the pendulum can reach its +-pi/2 singularity from inside its sampling
+    range) are redrawn from the next attempt's stream, up to 50 rounds.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
@@ -149,30 +151,32 @@ def generate_dataset(sys: SystemSpec, graphs: GraphSpec | list[GraphSpec],
         raise ShapeError("all adjacencies in a dataset must share the node count")
     if sys.kind != "pendulum" and sys.n_nodes != n:
         raise CompatibilityError(f"system has {sys.n_nodes} nodes, graphs have {n}")
-    steps = steps_for(horizon, dt)
-    T = steps + 1
+    T = steps_for(horizon, dt) + 1
     systems = [sys.with_coupling(g) for g in graphs]
     adjacency_index = np.array([i % len(graphs) for i in range(n_traj)], dtype=np.int64)
     data = np.empty((n_traj, T, n, sys.state_dim))
-
-    def run(i: int) -> None:
-        s = systems[adjacency_index[i]]
-        last = None
-        for attempt in range(50):
-            x0 = sample_initial_states(s, n, derive(seed, 0, i, attempt))
-            try:
-                data[i] = simulate_trajectory(s, x0, horizon, dt)
-                return
-            except (DomainError, DivergenceError) as err:
-                last = err
-        raise DivergenceError(f"trajectory {i}: no finite trajectory in 50 draws ({last})")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_traj)))
+    pending = np.arange(n_traj)
+    for attempt in range(50):
+        x0 = np.stack([sample_initial_states(sys, n, derive(seed, 0, int(i), attempt))
+                       for i in pending])
+        done = np.zeros(len(pending), dtype=bool)
+        for gi, s in enumerate(systems):
+            rows = np.flatnonzero(adjacency_index[pending] == gi)
+            if rows.size:
+                traj = simulate_trajectory(s, x0[rows], horizon, dt)
+                ok = np.isfinite(traj).all(axis=(1, 2, 3))
+                data[pending[rows[ok]]] = traj[ok]
+                done[rows] = ok
+        if done.all():
+            break
+        pending, x0 = pending[~done], x0[~done]
     else:
-        for i in range(n_traj):
-            run(i)
+        i, last = int(pending[0]), None
+        try:  # one run of its last draw names the error that failed it
+            simulate_trajectory(systems[adjacency_index[i]], x0[0], horizon, dt)
+        except (DomainError, DivergenceError) as err:
+            last = err
+        raise DivergenceError(f"trajectory {i}: no finite trajectory in 50 draws ({last})")
     controls = np.zeros((n_traj, T, n, sys.control_dim))
     return TrajectorySet(data=data, dt=dt, system=sys, graphs=list(graphs),
                          adjacency_index=adjacency_index, controls=controls, seed=seed)
@@ -266,10 +270,6 @@ def manifest_dict(ts: TrajectorySet) -> dict:
         graphs_meta.append({"n": g.n, "topology_tag": g.topology_tag,
                             "seed": g.seed, "adjacency_offset": offset})
         offset += g.n * g.n
-    norm = None
-    if ts.norm is not None:
-        norm = {"mean": list(ts.norm.mean), "std": list(ts.norm.std),
-                "floored_dims": list(ts.norm.floored)}
     return {
         "format_version": FORMAT_VERSION,
         "system": {"kind": ts.system.kind, "params": _system_params_dict(ts.system)},
@@ -281,7 +281,7 @@ def manifest_dict(ts: TrajectorySet) -> dict:
         "c": ts.c,
         "dt": ts.dt,
         "seed": ts.seed,
-        "norm": norm,
+        "norm": None if ts.norm is None else ts.norm.to_dict(),
         "adjacency_index_per_traj": [int(i) for i in ts.adjacency_index],
     }
 
@@ -292,15 +292,29 @@ def dataset_hash(ts: TrajectorySet) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def write_atomic(path, payload: bytes | str) -> None:
+    """Write `payload` to a temporary file beside `path`, then `os.replace`
+    it: a write that fails or is killed midway leaves no partial `path`."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_dataset(ts: TrajectorySet, path) -> None:
+    """Write a dataset directory, manifest.json last: a directory whose write
+    failed has no manifest and does not load."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    (path / "manifest.json").write_text(json.dumps(manifest_dict(ts), indent=1))
-    (path / "data.bin").write_bytes(ts.data.astype("<f8").tobytes("C"))
+    write_atomic(path / "data.bin", ts.data.astype("<f8").tobytes("C"))
     adj = np.concatenate([g.adjacency.reshape(-1) for g in ts.graphs])
-    (path / "adjacency.bin").write_bytes(adj.astype("<f8").tobytes("C"))
+    write_atomic(path / "adjacency.bin", adj.astype("<f8").tobytes("C"))
     if ts.c > 0:
-        (path / "controls.bin").write_bytes(ts.controls.astype("<f8").tobytes("C"))
+        write_atomic(path / "controls.bin", ts.controls.astype("<f8").tobytes("C"))
+    write_atomic(path / "manifest.json", json.dumps(manifest_dict(ts), indent=1))
 
 
 NORM_FIELDS = {"mean": list, "std": list, "floored_dims": list}
@@ -324,6 +338,21 @@ def check_fields(doc, fields: dict, where: str, prefix: str = "") -> None:
             raise CompatibilityError(f"{where} field '{prefix}{key}' {what}")
 
 
+def read_norm(doc, where: str) -> NormStats | None:
+    """NormStats from a `norm` field (None stays None); a malformed field or
+    a non-finite or (std) non-positive value raises CompatibilityError naming
+    `where` (the file) and the field."""
+    if doc is None:
+        return None
+    check_fields(doc, NORM_FIELDS, where, "norm.")
+    for key in ("mean", "std"):
+        if not all(type(v) in (int, float) and np.isfinite(v) and (key == "mean" or v > 0)
+                   for v in doc[key]):
+            raise CompatibilityError(f"{where} field 'norm.{key}' holds a value that is "
+                                     f"not a {'positive ' * (key == 'std')}finite number")
+    return NormStats(doc["mean"], doc["std"], tuple(doc["floored_dims"]))
+
+
 def _read_manifest(path: Path) -> dict:
     where = f"dataset manifest {path}"
     try:
@@ -341,8 +370,6 @@ def _read_manifest(path: Path) -> dict:
     check_fields(manifest["system"], _SYSTEM_FIELDS, where, "system.")
     for i, meta in enumerate(manifest["graphs"]):
         check_fields(meta, _GRAPH_FIELDS, where, f"graphs[{i}].")
-    if manifest["norm"] is not None:
-        check_fields(manifest["norm"], NORM_FIELDS, where, "norm.")
     if not all(isinstance(i, int) and 0 <= i < len(manifest["graphs"])
                for i in manifest["adjacency_index_per_traj"]):
         raise CompatibilityError(f"{where} field 'adjacency_index_per_traj' names "
@@ -383,11 +410,7 @@ def load_dataset(path) -> TrajectorySet:
         controls = ctl_raw.reshape(n_traj, T, n, c).copy()
     else:
         controls = np.zeros((n_traj, T, n, 0))
-    norm = None
-    if manifest["norm"] is not None:
-        norm = NormStats(mean=np.asarray(manifest["norm"]["mean"]),
-                         std=np.asarray(manifest["norm"]["std"]),
-                         floored=tuple(manifest["norm"]["floored_dims"]))
+    norm = read_norm(manifest["norm"], f"dataset manifest {path / 'manifest.json'}")
     return TrajectorySet(
         data=data, dt=manifest["dt"], system=system, graphs=graphs,
         adjacency_index=np.asarray(manifest["adjacency_index_per_traj"], dtype=np.int64),

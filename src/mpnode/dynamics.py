@@ -6,9 +6,9 @@ and Kuramoto phase oscillators. Neighbor reductions go through
 `ordered_sum`, so permuting node labels together with the adjacency
 permutes trajectories bit-exactly.
 
-`rk4_step` is shared between data generation (plain ndarrays) and the
-learned model (taped tensors); it only needs `+` and scalar `*` from its
-operands.
+`rk4_step` is shared between data generation (plain ndarrays, one
+[B, n, d] block of trajectories per call) and the learned model (taped
+tensors); it only needs `+` and scalar `*` from its operands.
 """
 
 from __future__ import annotations
@@ -96,9 +96,6 @@ class SystemSpec:
     def control_dim(self) -> int:
         return 0
 
-    def coupling(self) -> GraphSpec | None:
-        return getattr(self.params, "coupling", None)
-
     def with_coupling(self, graph: GraphSpec) -> "SystemSpec":
         if self.kind == "pendulum":
             return self
@@ -132,8 +129,18 @@ def make_pendulum(params: PendulumParams | None = None) -> SystemSpec:
 # ---------------------------------------------------------------------------
 
 
+def in_domain(kind: str, grid: np.ndarray) -> np.ndarray:
+    """Which rows of a [B, n, d] node-state grid the RHS of `kind` is defined
+    on, as bool[B]: pendulum angles with cos > 1e-9, gene expression >= 0,
+    every row of the other kinds. NaN passes; the finiteness checks catch it."""
+    if kind not in ("pendulum", "gene"):
+        return np.ones(len(grid), dtype=bool)
+    bad = np.cos(grid[..., 0]) <= 1e-9 if kind == "pendulum" else grid < 0
+    return ~bad.reshape(len(grid), -1).any(axis=1)
+
+
 def pendulum_rhs(state: np.ndarray, p: PendulumParams) -> np.ndarray:
-    """Spring-coupled pendulum pair; state is [theta1, omega1, theta2, omega2].
+    """Spring-coupled pendulum pair; state is [..., 4] = [theta1, omega1, theta2, omega2].
 
     The governing equations divide by cos(theta) (the coupling acts through
     the horizontal displacement), so they are only meaningful for
@@ -142,68 +149,68 @@ def pendulum_rhs(state: np.ndarray, p: PendulumParams) -> np.ndarray:
     must be rejected rather than continued.
     """
     state = np.asarray(state, dtype=np.float64)
-    if state.shape != (4,):
-        raise DomainError(f"pendulum state must have shape (4,), got {state.shape}")
-    th1, w1, th2, w2 = state
-    c1, c2 = np.cos(th1), np.cos(th2)
-    if c1 <= 1e-9 or c2 <= 1e-9:
+    if state.shape[-1:] != (4,):
+        raise DomainError(f"pendulum state must have shape (..., 4), got {state.shape}")
+    if not in_domain("pendulum", state.reshape(-1, 2, 2)).all():
         raise DomainError("pendulum configuration at or beyond the +-pi/2 singularity")
+    th1, w1, th2, w2 = np.moveaxis(state, -1, 0)
+    c1, c2 = np.cos(th1), np.cos(th2)
     s1, s2 = np.sin(th1), np.sin(th2)
     a1 = (s1 * (p.m1 * p.l1 * w1 * w1 - p.g - p.k * p.l1) + p.k * p.l2 * s2) / (p.m1 * p.l1 * c1)
     a2 = (s2 * (p.m2 * p.l2 * w2 * w2 - p.g - p.k * p.l2) + p.k * p.l1 * s1) / (p.m2 * p.l2 * c2)
-    return np.array([w1, a1, w2, a2])
+    return np.stack([w1, a1, w2, a2], axis=-1)
 
 
 def lorenz_coupled_rhs(states: np.ndarray, p: LorenzParams) -> np.ndarray:
-    """Per-node Lorenz with diffusive coupling on the first component."""
+    """Per-node Lorenz with diffusive coupling on the first component; states [..., n, 3]."""
     states = np.asarray(states, dtype=np.float64)
     n = p.coupling.n
-    if states.shape != (n, 3):
-        raise DomainError(f"lorenz states must have shape ({n}, 3), got {states.shape}")
-    x, y, z = states[:, 0], states[:, 1], states[:, 2]
+    if states.shape[-2:] != (n, 3):
+        raise DomainError(f"lorenz states must have shape (..., {n}, 3), got {states.shape}")
+    x, y, z = np.moveaxis(states, -1, 0)
     dx = p.sigma * (y - x)
     dy = x * (p.rho - z) - y
     dz = x * y - p.beta * z
     # coupling[i, j] * (x_j - x_i), value-sorted sum per row
-    diff = p.coupling.adjacency * (x[None, :] - x[:, None])
-    dx = dx + ordered_sum(diff, axis=1)
-    return np.stack([dx, dy, dz], axis=1)
+    diff = p.coupling.adjacency * (x[..., None, :] - x[..., :, None])
+    dx = dx + ordered_sum(diff, axis=-1)
+    return np.stack([dx, dy, dz], axis=-1)
 
 
 def gene_rhs(states: np.ndarray, p: GeneParams) -> np.ndarray:
     """Michaelis-Menten regulation: dx_i = -b_i x_i^g + sum_j A_ij x_j^h / (x_j^h + 1)."""
     states = np.asarray(states, dtype=np.float64)
     n = p.coupling.n
-    if states.shape != (n,):
-        raise DomainError(f"gene states must have shape ({n},), got {states.shape}")
-    if (states < 0).any():
+    if states.shape[-1:] != (n,):
+        raise DomainError(f"gene states must have shape (..., {n}), got {states.shape}")
+    if not in_domain("gene", states.reshape(-1, n)).all():
         raise DomainError("gene expression states must be nonnegative")
     xh = states ** p.h_exp
     hill = xh / (xh + 1.0)
     decay = -p.b * states ** p.g_exp
-    contrib = p.coupling.adjacency * hill[None, :]
-    return decay + ordered_sum(contrib, axis=1)
+    contrib = p.coupling.adjacency * hill[..., None, :]
+    return decay + ordered_sum(contrib, axis=-1)
 
 
 def kuramoto_rhs(states: np.ndarray, p: KuramotoParams) -> np.ndarray:
-    """Phase oscillators: dx_i = b_i + sum_j A_ij sin(x_j - x_i)."""
+    """Phase oscillators: dx_i = b_i + sum_j A_ij sin(x_j - x_i); states [..., n]."""
     states = np.asarray(states, dtype=np.float64)
     n = p.coupling.n
-    if states.shape != (n,):
-        raise DomainError(f"kuramoto states must have shape ({n},), got {states.shape}")
-    contrib = p.coupling.adjacency * np.sin(states[None, :] - states[:, None])
-    return p.b + ordered_sum(contrib, axis=1)
+    if states.shape[-1:] != (n,):
+        raise DomainError(f"kuramoto states must have shape (..., {n}), got {states.shape}")
+    contrib = p.coupling.adjacency * np.sin(states[..., None, :] - states[..., :, None])
+    return p.b + ordered_sum(contrib, axis=-1)
 
 
 def system_rhs(sys: SystemSpec):
-    """RHS over the [n, d] node-state grid for any system kind."""
+    """RHS over [..., n, d] node-state grids (one or a batch) for any system kind."""
     if sys.kind == "pendulum":
-        return lambda grid: pendulum_rhs(grid.reshape(4), sys.params).reshape(2, 2)
+        return lambda grid: pendulum_rhs(grid.reshape(-1, 4), sys.params).reshape(grid.shape)
     if sys.kind == "lorenz":
         return lambda grid: lorenz_coupled_rhs(grid, sys.params)
     if sys.kind == "gene":
-        return lambda grid: gene_rhs(grid[:, 0], sys.params)[:, None]
-    return lambda grid: kuramoto_rhs(grid[:, 0], sys.params)[:, None]
+        return lambda grid: gene_rhs(grid[..., 0], sys.params)[..., None]
+    return lambda grid: kuramoto_rhs(grid[..., 0], sys.params)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +218,14 @@ def system_rhs(sys: SystemSpec):
 # ---------------------------------------------------------------------------
 
 
-def rk4_step(f, x, u, dt: float):
+def rk4_step(f, x, u, dt: float, check=assert_finite):
     """One classical 4th-order Runge-Kutta step of dx/dt = f(x, u).
 
     Works on plain ndarrays and on taped tensors (the update formula only
     needs `+` and scalar `*`), so the same integrator serves data generation
-    and the differentiable model rollout. Raises DivergenceError naming the
-    first non-finite stage.
+    and the differentiable model rollout. `check(value, context)` sees each
+    stage and the update; the default raises DivergenceError naming the
+    first non-finite one.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -225,15 +233,15 @@ def rk4_step(f, x, u, dt: float):
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow to inf/nan is caught by the stage checks below
         k1 = f(x, u)
-        assert_finite(k1, "rk4 stage k1")
+        check(k1, "rk4 stage k1")
         k2 = f(x + half * k1, u)
-        assert_finite(k2, "rk4 stage k2")
+        check(k2, "rk4 stage k2")
         k3 = f(x + half * k2, u)
-        assert_finite(k3, "rk4 stage k3")
+        check(k3, "rk4 stage k3")
         k4 = f(x + dt * k3, u)
-        assert_finite(k4, "rk4 stage k4")
+        check(k4, "rk4 stage k4")
         out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    assert_finite(out, "rk4 update")
+    check(out, "rk4 update")
     return out
 
 
@@ -248,20 +256,36 @@ def steps_for(horizon: float, dt: float) -> int:
 
 def simulate_trajectory(sys: SystemSpec, x0: np.ndarray, horizon: float,
                         dt: float) -> np.ndarray:
-    """Integrate the ground truth from x0 [n, d]; returns [T, n, d] with T = horizon/dt + 1."""
+    """Integrate the ground truth from x0 [n, d] to [T, n, d] (T = horizon/dt + 1),
+    raising DomainError or DivergenceError naming the timestep; or from x0
+    [B, n, d], as one RK4 block, to [B, T, n, d]: a row whose stage input
+    leaves the RHS domain or whose stage or update is non-finite goes on from
+    zeros, raises nothing and comes back all NaN. Each row equals its own
+    [n, d] run bit for bit."""
     steps = steps_for(horizon, dt)
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (sys.n_nodes, sys.state_dim):
-        raise DomainError(
-            f"initial state shape {x0.shape} does not match ({sys.n_nodes}, {sys.state_dim})")
+    rows = x0[None] if x0.ndim == 2 else x0
+    if rows.ndim != 3 or rows.shape[1:] != (sys.n_nodes, sys.state_dim):
+        raise DomainError(f"initial state shape {x0.shape} does not match "
+                          f"([B,] {sys.n_nodes}, {sys.state_dim})")
     f = system_rhs(sys)
-    out = np.empty((steps + 1, sys.n_nodes, sys.state_dim))
-    out[0] = x0
-    state = x0
+    failed = np.zeros(len(rows), dtype=bool)
+
+    def guarded_rhs(grid, _u):
+        failed[~in_domain(sys.kind, grid)] = True
+        return f(np.where(failed[:, None, None], 0.0, grid))
+
+    def mark_non_finite(values, _context):
+        failed[~np.isfinite(values).all(axis=(1, 2))] = True
+
+    rhs, check = (guarded_rhs, mark_non_finite) if x0.ndim == 3 else \
+        (lambda grid, _u: f(grid), assert_finite)
+    out = np.empty((len(rows), steps + 1, sys.n_nodes, sys.state_dim))
+    out[:, 0] = state = rows
     for t in range(steps):
         try:
-            state = rk4_step(lambda g, _u: f(g), state, None, dt)
+            state = out[:, t + 1] = rk4_step(rhs, state, None, dt, check)
         except (DomainError, DivergenceError) as err:
             raise type(err)(f"at timestep {t + 1}: {err}") from err
-        out[t + 1] = state
-    return out
+    out[failed] = np.nan
+    return out[0] if x0.ndim == 2 else out

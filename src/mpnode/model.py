@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datasets import NORM_FIELDS, NormStats, TrajectorySet, check_fields
+from .datasets import NormStats, TrajectorySet, check_fields, read_norm, write_atomic
 from .dynamics import rk4_step
 from .errors import CompatibilityError, DivergenceError, ShapeError
 from .graphs import GraphSpec
@@ -116,16 +116,14 @@ def _advance(model: MpNodeModel, mask: np.ndarray, aug: Tensor,
         start = ad.concat_cols([ad.col_slice(aug, 0, d), m_in])
     else:
         start = aug
-    try:
-        return rk4_step(_system_rhs(model, stable), start, u, dt)
-    except DivergenceError as err:
-        detail = str(err)
-        arr = getattr(err, "values", None)
-        if arr is not None and arr.ndim == 2:
-            n = mask.shape[0]
-            rows = np.nonzero(~np.isfinite(arr).all(axis=1))[0]
-            detail += f" at nodes {sorted({int(r) % n for r in rows})}"
-        raise DivergenceError(detail) from err
+
+    def check(value: Tensor, context: str) -> None:
+        if not np.isfinite(value.data).all():
+            rows = np.nonzero(~np.isfinite(value.data).all(axis=1))[0]
+            nodes = sorted({int(r) % mask.shape[0] for r in rows})
+            raise DivergenceError(f"non-finite {context} at nodes {nodes}")
+
+    return rk4_step(_system_rhs(model, stable), start, u, dt, check)
 
 
 def rollout_batch(model: MpNodeModel, g: GraphSpec, x0, T: int, dt: float,
@@ -225,15 +223,11 @@ class Checkpoint:
 
 def _checkpoint_header(ckpt: Checkpoint) -> dict:
     m = ckpt.model
-    norm = None
-    if ckpt.norm is not None:
-        norm = {"mean": list(ckpt.norm.mean), "std": list(ckpt.norm.std),
-                "floored_dims": list(ckpt.norm.floored)}
     return {
         "format_version": ckpt.format_version,
         "d": m.state_dim, "p": m.message_dim, "c": m.control_dim,
         "hidden": list(m.hidden), "activation": m.activation,
-        "norm": norm,
+        "norm": None if ckpt.norm is None else ckpt.norm.to_dict(),
         "provenance": ckpt.provenance,
         "param_shapes": [list(t.shape) for t in m.parameters()],
     }
@@ -254,10 +248,8 @@ def save_checkpoint(model: MpNodeModel, norm: NormStats | None, provenance: dict
     header = json.dumps(_checkpoint_header(ckpt))
     if "\n" in header:
         raise ValueError("checkpoint header must be a single line")
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for t in model.parameters():
-            fh.write(t.data.astype("<f8").tobytes("C"))
+    blocks = [t.data.astype("<f8").tobytes("C") for t in model.parameters()]
+    write_atomic(path, header.encode() + b"\n" + b"".join(blocks))
     return ckpt
 
 
@@ -290,8 +282,6 @@ def _read_checkpoint(path) -> tuple[dict, np.ndarray]:
             for s in shapes):
         raise CompatibilityError(f"checkpoint {path}: header field 'param_shapes' "
                                  "is not a list of (weight, bias) shapes")
-    if header["norm"] is not None:
-        check_fields(header["norm"], NORM_FIELDS, where, "norm.")
     body = len(raw) - nl - 1
     expect = sum(int(np.prod(s)) for s in shapes)
     if body != 8 * expect:
@@ -301,23 +291,22 @@ def _read_checkpoint(path) -> tuple[dict, np.ndarray]:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed file, a non-finite parameter or
+    non-finite norm stats raise CompatibilityError naming the file and the field."""
     header, blob = _read_checkpoint(path)
     shapes = [tuple(s) for s in header["param_shapes"]]
     model = MpNodeModel(header["d"], header["p"], header["c"],
                         tuple(header["hidden"]), header["activation"])
     offset = 0
-    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
-        w_n = int(np.prod(w_shape))
-        model.weights.append(Tensor(blob[offset:offset + w_n].reshape(w_shape).copy(),
-                                    requires_grad=True))
-        offset += w_n
-        b_n = int(np.prod(b_shape))
-        model.biases.append(Tensor(blob[offset:offset + b_n].reshape(b_shape).copy(),
-                                   requires_grad=True))
-        offset += b_n
-    norm = None
-    if header["norm"] is not None:
-        norm = NormStats(mean=np.asarray(header["norm"]["mean"]),
-                         std=np.asarray(header["norm"]["std"]),
-                         floored=tuple(header["norm"]["floored_dims"]))
+    for i, shape in enumerate(shapes):
+        size = int(np.prod(shape))
+        block = blob[offset:offset + size]
+        if not np.isfinite(block).all():
+            name = f"{'Wb'[i % 2]}{i // 2 + 1}"
+            raise CompatibilityError(f"checkpoint {path}: parameter block {name} "
+                                     "holds a non-finite value")
+        (model.biases if i % 2 else model.weights).append(
+            Tensor(block.reshape(shape).copy(), requires_grad=True))
+        offset += size
+    norm = read_norm(header["norm"], f"checkpoint {path}: header")
     return Checkpoint(model=model, norm=norm, provenance=header["provenance"])

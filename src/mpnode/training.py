@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .datasets import TrajectorySet, dataset_hash
+from .datasets import TrajectorySet, dataset_hash, write_atomic
 from .errors import CompatibilityError, DivergenceError, ShapeError
 from .model import Checkpoint, MpNodeModel, checkpoint_hash, rollout_group
 from .rng import Rng, derive
@@ -163,7 +163,7 @@ class RunRecord:
                      "" if r.test_error is None else repr(r.test_error),
                      repr(r.wall_seconds)]
             lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "RunRecord":
@@ -250,17 +250,11 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
                 with Tape() as tape:
                     loss = _batch_loss(model, train_set, chunk, cfg, T_roll, loss_fn)
                 grads = tape.backward(loss, params=params)
-            except DivergenceError as err:
-                halt = DivergenceError(
-                    f"epoch {epoch}, batch starting at {lo}: {err}")
-                halt.run_record = record
-                raise halt from err
-            glist = [grads[p] for p in params]
-            if cfg.clip_norm is not None:
-                gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in glist)))
-                if gnorm > cfg.clip_norm:
-                    glist = [g * (cfg.clip_norm / gnorm) for g in glist]
-            try:
+                glist = [grads[p] for p in params]
+                if cfg.clip_norm is not None:
+                    gnorm = float(np.sqrt(sum(float((g * g).sum()) for g in glist)))
+                    if gnorm > cfg.clip_norm:
+                        glist = [g * (cfg.clip_norm / gnorm) for g in glist]
                 adam_step(params, glist, adam, cfg.learning_rate)
             except DivergenceError as err:
                 halt = DivergenceError(f"epoch {epoch}, batch starting at {lo}: {err}")

@@ -28,6 +28,18 @@ def _drop_header_key(raw: bytes, key: str) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _edit_norm(raw: bytes, key: str, value: float) -> bytes:
+    head, body = raw.split(b"\n", 1)
+    header = json.loads(head)
+    header["norm"][key][0] = value
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _nan_parameter(raw: bytes, index: int) -> bytes:
+    body = raw.index(b"\n") + 1 + 8 * index
+    return raw[:body] + np.array([np.nan]).tobytes() + raw[body + 8:]
+
+
 # case -> (corruption of a valid checkpoint's bytes, text the error must name)
 MALFORMED_CHECKPOINTS = {
     "empty file": (lambda raw: b"", "is empty"),
@@ -36,6 +48,12 @@ MALFORMED_CHECKPOINTS = {
     "missing header key": (lambda raw: _drop_header_key(raw, "hidden"),
                            "'hidden' is missing"),
     "truncated parameters": (lambda raw: raw[:-3], "parameter blocks"),
+    "nan first weight": (lambda raw: _nan_parameter(raw, 0), "parameter block W1"),
+    "nan last bias": (lambda raw: _nan_parameter(raw, (len(raw) - raw.index(b"\n") - 9) // 8),
+                      "parameter block b2"),
+    "nan norm mean": (lambda raw: _edit_norm(raw, "mean", float("nan")), "'norm.mean'"),
+    "infinite norm std": (lambda raw: _edit_norm(raw, "std", float("inf")), "'norm.std'"),
+    "zero norm std": (lambda raw: _edit_norm(raw, "std", 0.0), "'norm.std'"),
 }
 
 
@@ -70,6 +88,14 @@ MALFORMED_MANIFESTS = {
         "'adjacency_index_per_traj'"),
     "system params of another kind": (
         _edit_manifest(system={"kind": "lorenz", "params": {}}), "'system.params'"),
+    "nan norm mean": (
+        _edit_manifest(norm={"mean": [float("nan")], "std": [1.0], "floored_dims": []}),
+        "'norm.mean'"),
+    "negative norm std": (
+        _edit_manifest(norm={"mean": [0.0], "std": [-1.0], "floored_dims": []}), "'norm.std'"),
+    "norm mean as strings": (
+        _edit_manifest(norm={"mean": ["0.5"], "std": [1.0], "floored_dims": []}),
+        "'norm.mean'"),
 }
 
 
@@ -196,10 +222,12 @@ class TestTrainEval:
 
     def test_eval_all_diverged_exit_4(self, tmp_path, tiny_config, dataset_dir,
                                       trained_dir, capsys):
+        # finite parameters load; scaled this far every rollout overflows
         ckpt = trained_dir / "checkpoint.ckpt"
         raw = ckpt.read_bytes()
         body = raw.index(b"\n") + 1
-        ckpt.write_bytes(raw[:body] + np.full((len(raw) - body) // 8, np.nan).tobytes())
+        params = np.frombuffer(raw[body:], dtype="<f8")
+        ckpt.write_bytes(raw[:body] + (params * 1e200).astype("<f8").tobytes())
         out = tmp_path / "eval"
         code = main(["eval", "--config", str(tiny_config), "--data", str(dataset_dir),
                      "--from", str(ckpt), "--out", str(out), "--split", "val"])
@@ -314,20 +342,6 @@ class TestShippedConfigs:
             cfg = json.loads(path.read_text())
             assert cfg["train"]["learning_rate"] == 0.001
             assert cfg["train"]["batch_size"] == 128
-
-
-def test_thread_cap_does_not_change_bytes(tmp_path, tiny_config, monkeypatch):
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["generate", "--config", str(tiny_config), "--out", str(out1)]) == 0
-    monkeypatch.setenv("MPNODE_THREADS", "0")  # 0 = auto
-    assert main(["generate", "--config", str(tiny_config), "--out", str(out2)]) == 0
-    assert (out1 / "data.bin").read_bytes() == (out2 / "data.bin").read_bytes()
-
-
-def test_bad_thread_env_exit_2(tmp_path, tiny_config, monkeypatch):
-    monkeypatch.setenv("MPNODE_THREADS", "many")
-    assert main(["generate", "--config", str(tiny_config),
-                 "--out", str(tmp_path / "o")]) == 2
 
 
 def test_seed_override_changes_outputs(tmp_path, tiny_config):

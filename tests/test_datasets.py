@@ -1,6 +1,8 @@
 """Dataset recipes, Z-score round trips, splits, and binary persistence."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from mpnode.datasets import (NormStats, generate_dataset, load_dataset,
                              sample_initial_states, save_dataset,
                              split_train_val, zscore_apply, zscore_fit,
                              zscore_invert)
-from mpnode.errors import CompatibilityError
+from mpnode.errors import CompatibilityError, DivergenceError
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +76,55 @@ class TestGenerate:
         b = generate_dataset(sys, g, 4, 1.0, 0.05, seed=23)
         assert np.array_equal(a.data, b.data)
 
-    def test_threads_match_serial(self):
-        g = graphs.gen_fixed_degree(6, 3, seed=21)
-        sys = dynamics.make_kuramoto(g, seed=22)
-        a = generate_dataset(sys, g, 6, 1.0, 0.05, seed=24, threads=1)
-        b = generate_dataset(sys, g, 6, 1.0, 0.05, seed=24, threads=3)
-        assert np.array_equal(a.data, b.data)
+    @pytest.mark.parametrize("kind", ["kuramoto", "pendulum", "gene"])
+    def test_batch_composition_invariant(self, kind):
+        # trajectory i's bits do not depend on which other rows share its
+        # batch or redraw round: a longer set starts with the shorter one
+        if kind == "pendulum":  # several rows are redrawn at this seed
+            sys, g = dynamics.make_pendulum(), graphs.explicit_graph([[0.0, 1.0], [1.0, 0.0]])
+            horizon, dt = 10.0, 0.1
+        elif kind == "gene":  # three adjacencies, so groups of unequal size
+            g = [graphs.gen_barabasi_albert(8, 2, seed=s) for s in range(3)]
+            sys, horizon, dt = dynamics.make_gene(g[0]), 1.0, 0.1
+        else:
+            g = graphs.gen_fixed_degree(6, 3, seed=21)
+            sys, horizon, dt = dynamics.make_kuramoto(g, seed=22), 1.0, 0.05
+        a = generate_dataset(sys, g, 4, horizon, dt, seed=6)
+        b = generate_dataset(sys, g, 6, horizon, dt, seed=6)
+        assert np.array_equal(a.data, b.data[:4])
+
+    @pytest.mark.parametrize("kind,expect", [
+        ("kuramoto", "84459d6ca20e4a434d6373842048796478a390cad62bb56d32988eff861f6e2a"),
+        ("lorenz", "d1956fd62b19aceec21dedd97d9ccd202397eda667640fb8887bcea02753bbd6"),
+        ("pendulum", "5c66d1b91cc0b050ef68dcaaf72d46f3e8c7cae1d1266ed5f4a0890843f8df01"),
+        ("gene_x3", "d4c04d0a8cec909feddd9e080257b9d10fe3ba4d4ed12689ca0bcffde4d365c0"),
+    ])
+    def test_golden_data_bin(self, tmp_path, kind, expect):
+        # sha256 of data.bin as one simulate_trajectory call per trajectory
+        # and draw wrote it; batching must not move a bit
+        if kind == "kuramoto":
+            g = graphs.gen_fixed_degree(6, 3, seed=1)
+            ts = generate_dataset(dynamics.make_kuramoto(g, seed=2), g, 5, 1.0, 0.05, seed=3)
+        elif kind == "lorenz":
+            g = graphs.gen_fully_connected_weighted(4, 0.5, seed=4)
+            ts = generate_dataset(dynamics.make_lorenz(g), g, 4, 1.0, 0.05, seed=5)
+        elif kind == "pendulum":  # 12 draws for 8 trajectories
+            g = graphs.explicit_graph([[0.0, 1.0], [1.0, 0.0]])
+            ts = generate_dataset(dynamics.make_pendulum(), g, 8, 10.0, 0.1, seed=6)
+        else:
+            gs = [graphs.gen_barabasi_albert(8, 2, seed=s) for s in range(3)]
+            ts = generate_dataset(dynamics.make_gene(gs[0]), gs, 7, 1.0, 0.1, seed=7)
+        save_dataset(ts, tmp_path)
+        assert hashlib.sha256((tmp_path / "data.bin").read_bytes()).hexdigest() == expect
+
+    def test_never_finite_names_first_trajectory_and_its_error(self):
+        # dt = 5 overflows every Lorenz draw; the message names the lowest
+        # failed trajectory and the error of its last draw
+        gs = [graphs.gen_fixed_degree(4, 2, seed=s) for s in range(2)]
+        with pytest.raises(DivergenceError) as info:
+            generate_dataset(dynamics.make_lorenz(gs[0]), gs, 3, 50.0, 5.0, seed=1)
+        assert str(info.value) == ("trajectory 0: no finite trajectory in 50 draws "
+                                   "(at timestep 3: non-finite rk4 stage k2)")
 
     def test_constant_trajectory_stored(self):
         g = graphs.explicit_graph(np.zeros((3, 3)))
@@ -208,6 +253,32 @@ class TestPersistence:
         assert np.array_equal(back.norm.std, train.norm.std)
         assert back.dt == train.dt and back.seed == train.seed
         assert np.array_equal(back.system.params.b, train.system.params.b)
+
+    def test_failed_write_leaves_nothing_that_loads(self, tmp_path, kuramoto_set,
+                                                   monkeypatch):
+        write_bytes = Path.write_bytes
+
+        def half_then_fail(self, data):
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError):
+            save_dataset(kuramoto_set, tmp_path / "ds")
+        monkeypatch.undo()
+        # data.bin failed midway: no partial file, and no manifest to load
+        assert list((tmp_path / "ds").iterdir()) == []
+        with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path / "ds")
+
+    def test_manifest_written_last(self, tmp_path, kuramoto_set, monkeypatch):
+        order = []
+        write_atomic = datasets.write_atomic
+        monkeypatch.setattr(datasets, "write_atomic",
+                            lambda path, payload: (order.append(path.name),
+                                                   write_atomic(path, payload)))
+        save_dataset(kuramoto_set, tmp_path / "ds")
+        assert order == ["data.bin", "adjacency.bin", "manifest.json"]
 
     def test_truncated_data_rejected(self, tmp_path, kuramoto_set):
         save_dataset(kuramoto_set, tmp_path / "ds")

@@ -6,10 +6,10 @@ import pytest
 
 from mpnode import dynamics, graphs
 from mpnode.dynamics import (GeneParams, KuramotoParams, LorenzParams,
-                             PendulumParams, gene_rhs, kuramoto_rhs,
+                             PendulumParams, gene_rhs, in_domain, kuramoto_rhs,
                              lorenz_coupled_rhs, make_gene, make_kuramoto,
                              make_lorenz, make_pendulum, pendulum_rhs, rk4_step,
-                             simulate_trajectory)
+                             simulate_trajectory, steps_for)
 from mpnode.errors import DivergenceError, DomainError
 
 
@@ -189,6 +189,84 @@ class TestSimulateTrajectory:
         x0 = np.array([[1.56, 1.0], [0.5, 0.5]])  # starts against the barrier
         with pytest.raises((DivergenceError, DomainError), match="timestep"):
             simulate_trajectory(sys, x0, 10.0, 0.1)
+
+
+def _system_and_states(kind, batch, seed):
+    """A small system of `kind` and `batch` initial states from its sampling range."""
+    rng = np.random.default_rng(seed)
+    if kind == "pendulum":
+        sys = make_pendulum()
+        x0 = np.stack([rng.uniform(-1.2, 1.2, (batch, 2)), rng.uniform(-1, 1, (batch, 2))],
+                      axis=-1)
+        return sys, x0, 5.0, 0.1
+    n = 6
+    if kind == "kuramoto":
+        sys = make_kuramoto(graphs.gen_erdos_renyi(n, 0.5, seed=seed), seed=seed)
+        return sys, rng.uniform(-1, 1, (batch, n, 1)), 2.0, 0.05
+    if kind == "gene":
+        sys = make_gene(graphs.gen_barabasi_albert(n, 2, seed=seed))
+        return sys, rng.uniform(0, 50, (batch, n, 1)), 2.0, 0.1
+    sys = make_lorenz(graphs.gen_fully_connected_weighted(n, 0.5, seed=seed))
+    return sys, rng.uniform(-10, 10, (batch, n, 3)), 2.0, 0.05
+
+
+class TestBatchedSimulation:
+    @pytest.mark.parametrize("kind", ["kuramoto", "gene", "lorenz", "pendulum"])
+    def test_rows_match_single_runs_bit_for_bit(self, kind):
+        sys, x0, horizon, dt = _system_and_states(kind, 7, seed=21)
+        batch = simulate_trajectory(sys, x0, horizon, dt)
+        assert batch.shape == (7, steps_for(horizon, dt) + 1) + x0.shape[1:]
+        assert np.isfinite(batch).all()
+        for row, start in zip(batch, x0):
+            assert np.array_equal(row, simulate_trajectory(sys, start, horizon, dt))
+
+    def test_pendulum_rows_at_the_barrier_fail_alone(self):
+        sys = make_pendulum()
+        good = np.array([[[0.2, 0.1], [-0.1, 0.0]], [[0.9, 0.5], [-0.4, -0.2]]])
+        barrier = np.array([[[1.56, 1.0], [0.5, 0.5]], [[0.1, 0.0], [-1.5705, -1.0]]])
+        x0 = np.stack([good[0], barrier[0], good[1], barrier[1]])
+        batch = simulate_trajectory(sys, x0, 10.0, 0.1)
+        assert np.isnan(batch[[1, 3]]).all()
+        assert np.array_equal(batch[0], simulate_trajectory(sys, good[0], 10.0, 0.1))
+        assert np.array_equal(batch[2], simulate_trajectory(sys, good[1], 10.0, 0.1))
+        for start in barrier:
+            with pytest.raises((DivergenceError, DomainError), match="timestep"):
+                simulate_trajectory(sys, start, 10.0, 0.1)
+
+    def test_diverging_row_fails_alone(self):
+        g = graphs.explicit_graph(np.zeros((1, 1)))
+        sys = make_lorenz(g)
+        x0 = np.array([[[1.0, 1.0, 1.0]], [[1e155, 1e155, 1e155]]])
+        batch = simulate_trajectory(sys, x0, 1.0, 0.05)
+        assert np.isnan(batch[1]).all()
+        assert np.array_equal(batch[0], simulate_trajectory(sys, x0[0], 1.0, 0.05))
+        with pytest.raises(DivergenceError, match="timestep 1: non-finite rk4 stage"):
+            simulate_trajectory(sys, x0[1], 1.0, 0.05)
+
+    # NaN passes the domain test: the finiteness checks own it, as before
+    @pytest.mark.parametrize("kind,grid,ok", [
+        ("pendulum", [[[0.3, 9.0], [-1.5, 0.0]], [[np.pi / 2, 0.0], [0.0, 0.0]],
+                      [[np.nan, 0.0], [0.0, 0.0]]], [True, False, True]),
+        ("gene", [[[0.0], [2.0]], [[1.0], [-1e-300]], [[np.nan], [1.0]]],
+         [True, False, True]),
+        ("lorenz", [[[1e300, -5.0, 0.0]], [[np.nan, 0.0, 0.0]]], [True, True]),
+    ])
+    def test_in_domain_per_row(self, kind, grid, ok):
+        assert list(in_domain(kind, np.array(grid))) == ok
+
+    def test_rhs_raises_when_any_row_is_out_of_domain(self):
+        with pytest.raises(DomainError):
+            pendulum_rhs(np.array([[0.1, 0.0, 0.2, 0.0], [0.0, 0.0, np.pi / 2, 0.0]]),
+                         PendulumParams())
+        g = graphs.explicit_graph(np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            gene_rhs(np.array([[1.0, 2.0], [0.5, -0.1]]), GeneParams(b=np.ones(2), coupling=g))
+
+    def test_state_shape_checked(self):
+        sys = make_pendulum()
+        for x0 in (np.zeros((2, 3)), np.zeros((1, 1, 2, 2)), np.zeros(4)):
+            with pytest.raises(DomainError, match="does not match"):
+                simulate_trajectory(sys, x0, 1.0, 0.1)
 
 
 class TestConservationAndSymmetry:

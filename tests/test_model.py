@@ -1,6 +1,8 @@
 """MP-NODE model: weight sharing, aggregation, step semantics, rollout
 equivariance and reductions, checkpoint round trips, rollout gradients."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from mpnode import graphs
 from mpnode.autodiff import Tensor
 from mpnode.datasets import NormStats
 from mpnode.dynamics import rk4_step
-from mpnode.errors import CompatibilityError, ShapeError
+from mpnode.errors import CompatibilityError, DivergenceError, ShapeError
 from mpnode.model import (_advance, init_model, load_checkpoint, mlp_forward, rollout,
                           rollout_batch, save_checkpoint)
 
@@ -145,6 +147,18 @@ class TestRollout:
         states, _ = rollout(model, g, x0, T=8, dt=0.1)
         assert np.array_equal(states.data[:, 0], states.data[:, 1])
 
+    def test_divergence_names_step_stage_and_nodes(self):
+        # only node 2 of trajectory 1 (block row 3 + 2 = 5) starts huge
+        g = graphs.gen_erdos_renyi(3, 0.0, seed=28)
+        model = init_model(1, 0, 0, hidden=(4,), activation="relu", seed=29)
+        for w in model.weights:
+            w.data[:] = 1.0
+        x0 = np.ones((2, 3, 1))
+        x0[1, 2] = 1e308
+        with pytest.raises(DivergenceError,
+                           match=r"rollout step 1: non-finite rk4 stage k1 at nodes \[2\]$"):
+            rollout_batch(model, g, x0, T=3, dt=0.1)
+
     def test_batch_matches_single(self):
         # the fast kernels agree to roundoff; the stable ones bit for bit
         g = graphs.gen_erdos_renyi(5, 0.5, seed=28)
@@ -212,6 +226,25 @@ class TestCheckpoint:
         (tmp_path / "m.ckpt").write_bytes(blob[:-8])
         with pytest.raises(CompatibilityError):
             load_checkpoint(tmp_path / "m.ckpt")
+
+    def test_failed_overwrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        model, norm = self.make()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, norm, {"note": "old"}, path)
+        old = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def half_then_fail(self, data):
+            write_bytes(self, data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+        with pytest.raises(OSError):
+            save_checkpoint(self.make(seed=41)[0], norm, {"note": "new"}, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert load_checkpoint(path).provenance["note"] == "old"
 
     def test_node_count_free_reuse(self, tmp_path):
         # a checkpoint trained at one node count rolls out at any other
