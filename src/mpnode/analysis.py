@@ -44,7 +44,7 @@ class EvalReport:
             "fingerprint": self.fingerprint,
             "std_convention": "across trajectories",
         }
-        write_atomic(path, json.dumps(payload, indent=1))
+        write_atomic(path, json.dumps(payload, indent=1, allow_nan=False))
 
 
 def _spread(values: np.ndarray) -> float:
@@ -60,7 +60,8 @@ def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
     adjacency matrix roll out as one batch on the stable kernels, which is
     bit-identical to rolling each out alone. Trajectories whose rollout
     diverges are excluded from the aggregates and counted: a group that
-    diverges is rolled out again one trajectory at a time.
+    diverges is rolled out again one trajectory at a time. Scores that
+    overflow to a non-finite mean or spread raise DivergenceError.
     """
     model = ckpt.model
     if model.state_dim != test_set.d or model.control_dim != test_set.c:
@@ -95,12 +96,16 @@ def evaluate(ckpt: Checkpoint, test_set: TrajectorySet,
     kept = [s for s in scores if s is not None]
     per, per_norm = [s[0] for s in kept], [s[1] for s in kept]
     arr, arr_n = np.asarray(per), np.asarray(per_norm)
+    mean = float(arr.mean()) if arr.size else float("nan")
+    mean_n = float(arr_n.mean()) if arr_n.size else float("nan")
+    spreads = _spread(arr), _spread(arr_n)
+    if kept and not np.isfinite([mean, mean_n, *spreads]).all():
+        # finite rollouts whose squared residuals overflow
+        raise DivergenceError(f"test error over {len(kept)} finite rollouts is not finite "
+                              f"(mean {mean:.6g}, std {spreads[0]:.6g}); no report written")
     return EvalReport(
         per_traj=per, per_traj_normalized=per_norm,
-        mean=float(arr.mean()) if arr.size else float("nan"),
-        std=_spread(arr),
-        mean_normalized=float(arr_n.mean()) if arr_n.size else float("nan"),
-        std_normalized=_spread(arr_n),
+        mean=mean, std=spreads[0], mean_normalized=mean_n, std_normalized=spreads[1],
         diverged=ts.n_traj - len(kept),
         fingerprint={"dataset": dataset_hash(test_set),
                      "checkpoint": checkpoint_hash(ckpt),

@@ -3,7 +3,9 @@
 Ops record onto the innermost active `Tape`; `Tape.backward` replays the
 records in reverse creation order, which is a valid topological order, so
 no graph search is needed. It returns the gradients as a dict; tensors
-carry no gradient state of their own. The tape is rebuilt per rollout.
+carry no gradient state of their own. The sweep consumes its tape,
+detaching each node as it passes, so a caller still holding the loss
+holds nothing of the graph and peak training memory is one batch's tape.
 
 Two kernel flavours exist for the hot ops (`dense`, `neighbor_mean`):
 
@@ -74,6 +76,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Tensor] = []
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -94,25 +97,39 @@ class Tape:
         sweep-local sink (freed as the sweep passes each node) and nothing is
         written to the tensors, so independent tapes can run backward
         concurrently on shared read-only parameters; merging results across
-        tapes is the caller's serial reduction. One backward call per tape.
+        tapes is the caller's serial reduction.
+
+        The sweep pops each node and detaches it from its parents and its
+        backward closure before running that closure, so each intermediate
+        array is freed once the sweep has passed it, and the tape ends
+        empty. One backward call per tape; a second raises RuntimeError.
         """
         if loss.data.shape != ():
             raise ShapeError(f"backward root must be scalar, got shape {loss.data.shape}")
+        if self._swept:
+            raise RuntimeError("tape already swept")
+        self._swept = True
         sink: dict[int, np.ndarray] = {id(loss): np.ones(())}
         _LOCAL.sink = sink
         leaves: list[Tensor] = []
         seen: set[int] = set()
+        nodes = self._nodes
         try:
-            for node in reversed(self._nodes):
+            while nodes:
+                node = nodes.pop()
+                backward, parents = node._backward, node._parents
+                node._backward, node._parents = None, ()
                 g = sink.pop(id(node), None)
-                if g is None or node._backward is None:
+                if g is None:
                     continue
-                for parent in node._parents:
+                # a parent predates its children, so it is not detached yet:
+                # `_backward is None` still means a leaf
+                for parent in parents:
                     if parent._backward is None and parent.requires_grad \
                             and id(parent) not in seen:
                         seen.add(id(parent))
                         leaves.append(parent)
-                node._backward(g)
+                backward(g)
         finally:
             _LOCAL.sink = None
         wanted = leaves if params is None else params
@@ -223,18 +240,22 @@ def dense(x: Tensor, w: Tensor, b: Tensor, activation: str | None = None,
     if x.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"dense input {x.shape} does not match W{w.shape}")
     xd, wd = x.data, w.data
-    pre = (np.einsum("ni,oi->no", xd, wd) if stable else xd @ wd.T) + b.data
+    # bias and activation go into the fresh matmul output: the same IEEE
+    # operations in the same order as the out-of-place formula. `y` itself
+    # must stay fresh, since the backward closure keeps it.
+    y = np.einsum("ni,oi->no", xd, wd) if stable else xd @ wd.T
+    y += b.data
     if activation == "tanh":
-        y = np.tanh(pre)
+        np.tanh(y, out=y)
     elif activation == "relu":
-        y = np.maximum(pre, 0.0)
-    else:
-        y = pre
+        np.maximum(y, 0.0, out=y)
     out = Tensor(y)
 
     def backward(g):
         if activation == "tanh":
-            gp = g * (1.0 - y * y)
+            gp = y * y  # g * (1 - y*y), built in one buffer
+            np.subtract(1.0, gp, out=gp)
+            gp *= g
         elif activation == "relu":
             gp = g * (y > 0.0)
         else:

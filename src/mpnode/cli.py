@@ -6,7 +6,9 @@
 
 Exit codes: 0 ok, 2 config error, 3 compatibility error, 4 numerical
 divergence. Every command writes the resolved configuration it actually
-used into its output directory, and removes partial outputs on failure.
+used into its output directory. On failure it removes its partial outputs
+from an output directory that did not exist or was empty when it started,
+and touches no other.
 """
 
 from __future__ import annotations
@@ -42,8 +44,12 @@ def load_config(path, seed_override: int | None = None) -> dict:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
+
+    def reject(name):
+        raise ConfigError(f"config {path} is not valid JSON: {name} is not a JSON number")
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}")
     for block in _BLOCKS:
@@ -171,7 +177,7 @@ def _write_resolved(out: Path, command: str, cfg: dict | None, args) -> None:
         "message_sizes": getattr(args, "message_sizes", None),
         "split": getattr(args, "split", None),
     }
-    (out / "config.json").write_text(json.dumps(resolved, indent=1))
+    (out / "config.json").write_text(json.dumps(resolved, indent=1, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +233,9 @@ def cmd_train(args) -> int:
     ckpt, record = training.train(net, train_set, val_set, tc)
     _write_run(out, ckpt, record)
     _write_resolved(out, "train", cfg, args)
-    print(f"trained {tc.epochs} epochs; best val loss {ckpt.provenance['val_loss']:.6g} "
+    val_loss = ckpt.provenance["val_loss"]
+    print(f"trained {tc.epochs} epochs; best val loss "
+          f"{'none' if val_loss is None else format(val_loss, '.6g')} "
           f"at epoch {ckpt.provenance['epoch']}")
     return EXIT_OK
 
@@ -349,7 +357,7 @@ def cmd_pca(args) -> int:
         "trajectories": int(n_traj),
         "components": int(k),
     }
-    datasets.write_atomic(out / "pca.json", json.dumps(payload, indent=1))
+    datasets.write_atomic(out / "pca.json", json.dumps(payload, indent=1, allow_nan=False))
     _write_resolved(out, "pca", None, args)
     print(f"explained variance fractions: {payload['explained_variance']}")
     return EXIT_OK
@@ -413,13 +421,12 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _discard_partial_outputs(out: str, created: bool) -> None:
-    path = Path(out)
+def _discard_partial_outputs(path: Path, created: bool) -> None:
     if not path.exists():
         return
     if created:
         shutil.rmtree(path, ignore_errors=True)
-    else:  # pre-existing (empty) directory: drop only what we wrote into it
+    else:  # pre-existing empty directory: drop only what we wrote into it
         for child in path.iterdir():
             if child.is_dir():
                 shutil.rmtree(child, ignore_errors=True)
@@ -430,7 +437,11 @@ def _discard_partial_outputs(out: str, created: bool) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     needs_config = args.command in ("generate", "train", "finetune", "ablate", "sweep")
-    created_out = not Path(args.out).exists()
+    out = Path(args.out)
+    created_out = not out.exists()
+    # only a directory this command may own is cleaned up on failure: one
+    # that did not exist or was empty; anything else is the user's
+    owned_out = created_out or (out.is_dir() and not any(out.iterdir()))
     # Exception clauses run most-specific first: the error classes share
     # ValueError ancestry, and each must keep its own exit code.
     try:
@@ -446,7 +457,8 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, TypeError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         code = EXIT_CONFIG
-    _discard_partial_outputs(args.out, created_out)
+    if owned_out:
+        _discard_partial_outputs(out, created_out)
     return code
 
 

@@ -314,7 +314,8 @@ def save_dataset(ts: TrajectorySet, path) -> None:
     write_atomic(path / "adjacency.bin", adj.astype("<f8").tobytes("C"))
     if ts.c > 0:
         write_atomic(path / "controls.bin", ts.controls.astype("<f8").tobytes("C"))
-    write_atomic(path / "manifest.json", json.dumps(manifest_dict(ts), indent=1))
+    write_atomic(path / "manifest.json",
+                 json.dumps(manifest_dict(ts), indent=1, allow_nan=False))
 
 
 NORM_FIELDS = {"mean": list, "std": list, "floored_dims": list}
@@ -377,24 +378,40 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
+def _read_bin(path: Path, expect: int | None = None) -> np.ndarray:
+    """The float64 values of a dataset `.bin` file; a missing or unreadable
+    file, a size other than `expect` values (when given), or a non-finite
+    value raises CompatibilityError naming the file."""
+    try:
+        raw = path.read_bytes()
+    except OSError as err:
+        raise CompatibilityError(f"dataset file {path} cannot be read: {err.strerror or err}")
+    if len(raw) % 8 or (expect is not None and len(raw) != 8 * expect):
+        want = "a whole number of" if expect is None else f"{8 * expect} bytes, {expect}"
+        raise CompatibilityError(f"dataset file {path} holds {len(raw)} bytes, "
+                                 f"expected {want} float64 values")
+    values = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CompatibilityError(f"dataset file {path} holds a non-finite value")
+    return values
+
+
 def load_dataset(path) -> TrajectorySet:
-    """Read a dataset directory; a malformed manifest raises
-    CompatibilityError naming the file and the field."""
+    """Read a dataset directory; a malformed manifest or `.bin` file raises
+    CompatibilityError naming the file (and, for the manifest, the field)."""
     path = Path(path)
     manifest = _read_manifest(path / "manifest.json")
     n_traj, T = manifest["n_traj"], manifest["T"]
     n, d, c = manifest["n_nodes"], manifest["d"], manifest["c"]
-    raw = np.frombuffer((path / "data.bin").read_bytes(), dtype="<f8")
-    expect = n_traj * T * n * d
-    if raw.size != expect:
-        raise CompatibilityError(f"data.bin holds {raw.size} values, expected {expect}")
-    data = raw.reshape(n_traj, T, n, d).copy()
-    adj_raw = np.frombuffer((path / "adjacency.bin").read_bytes(), dtype="<f8")
+    data = _read_bin(path / "data.bin", n_traj * T * n * d).reshape(n_traj, T, n, d).copy()
+    adj_raw = _read_bin(path / "adjacency.bin")
     graphs = []
     for meta in manifest["graphs"]:
         gn, off = meta["n"], meta["adjacency_offset"]
         if off + gn * gn > adj_raw.size:
-            raise CompatibilityError("adjacency.bin is shorter than the manifest declares")
+            raise CompatibilityError(f"dataset file {path / 'adjacency.bin'} holds "
+                                     f"{adj_raw.size} values, shorter than the manifest "
+                                     "declares")
         graphs.append(GraphSpec(gn, adj_raw[off:off + gn * gn].reshape(gn, gn).copy(),
                                 meta["topology_tag"], meta["seed"]))
     kind = manifest["system"]["kind"]
@@ -404,10 +421,8 @@ def load_dataset(path) -> TrajectorySet:
         raise CompatibilityError(f"dataset manifest {path / 'manifest.json'} field "
                                  f"'system.params' does not fit kind {kind!r}: {err!r}")
     if c > 0:
-        ctl_raw = np.frombuffer((path / "controls.bin").read_bytes(), dtype="<f8")
-        if ctl_raw.size != n_traj * T * n * c:
-            raise CompatibilityError("controls.bin size mismatch")
-        controls = ctl_raw.reshape(n_traj, T, n, c).copy()
+        controls = _read_bin(path / "controls.bin", n_traj * T * n * c)
+        controls = controls.reshape(n_traj, T, n, c).copy()
     else:
         controls = np.zeros((n_traj, T, n, 0))
     norm = read_norm(manifest["norm"], f"dataset manifest {path / 'manifest.json'}")

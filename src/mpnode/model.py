@@ -245,7 +245,7 @@ def save_checkpoint(model: MpNodeModel, norm: NormStats | None, provenance: dict
     """Write a checkpoint file: one JSON header line, then raw float64 blocks
     in declared layer order (W1, b1, W2, b2, ...)."""
     ckpt = Checkpoint(model=model, norm=norm, provenance=dict(provenance))
-    header = json.dumps(_checkpoint_header(ckpt))
+    header = json.dumps(_checkpoint_header(ckpt), allow_nan=False)
     if "\n" in header:
         raise ValueError("checkpoint header must be a single line")
     blocks = [t.data.astype("<f8").tobytes("C") for t in model.parameters()]

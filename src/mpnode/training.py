@@ -239,7 +239,7 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
     adam = init_adam(params)
     shuffle_rng = Rng(derive(cfg.seed, 50))
     record = RunRecord()
-    best: tuple[float, int, list[np.ndarray], float] | None = None
+    best: tuple[float | None, int, list[np.ndarray], float | None] | None = None
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(train_set.n_traj)
@@ -279,7 +279,7 @@ def _fit(model: MpNodeModel, train_set: TrajectorySet, val_set: TrajectorySet,
                                    f"evaluation of {cfg.epochs} epochs")
             halt.run_record = record
             raise halt
-        best = (float("nan"), 0, _snapshot(model), float("nan"))
+        best = (None, 0, _snapshot(model), None)  # JSON null: no epoch ran
     best_model = model.copy()
     for p, data in zip(best_model.parameters(), best[2]):
         p.data = data

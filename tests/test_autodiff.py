@@ -1,6 +1,8 @@
 """Tape engine: per-op contracts, gradients vs central differences, and
 determinism of forward/backward evaluation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,31 @@ class TestBackward:
         with pytest.raises(ShapeError):
             tape.backward(y)
 
+    def test_sweep_frees_the_graph(self):
+        # the caller still holds the loss, yet nothing of the graph survives
+        rng = np.random.default_rng(6)
+        x = ad.parameter(rng.standard_normal((5, 3)))
+        w1, b1 = ad.parameter(rng.standard_normal((4, 3))), ad.parameter(np.zeros(4))
+        w2, b2 = ad.parameter(rng.standard_normal((2, 4))), ad.parameter(np.zeros(2))
+        with Tape() as tape:
+            h = ad.dense(x, w1, b1, "tanh")
+            loss = ad.mean_all(ad.square(ad.dense(h, w2, b2)))
+        hidden = weakref.ref(h.data)
+        del h
+        assert hidden() is not None and len(tape) == 4
+        tape.backward(loss, params=[x, w1, b1, w2, b2])
+        assert hidden() is None
+        assert len(tape) == 0
+        assert loss._parents == () and loss._backward is None
+
+    def test_second_backward_raises(self):
+        x = ad.parameter([1.0, 2.0])
+        with Tape() as tape:
+            loss = ad.mean_all(ad.square(x))
+        tape.backward(loss, params=[x])
+        with pytest.raises(RuntimeError, match="tape already swept"):
+            tape.backward(loss, params=[x])
+
     def test_deterministic_bits(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((6, 4))
@@ -139,15 +166,43 @@ class TestBackward:
         assert np.array_equal(gw1, gw2) and np.array_equal(gx1, gx2)
 
 
+def _dense_reference(x, w, b, activation, stable):
+    """The out-of-place formula act(x @ W.T + b) and, for the upstream
+    adjoint of mean_all(square(.)), the x, W and b gradients written as
+    g * (1 - y*y), g * (y > 0) or g."""
+    pre = (np.einsum("ni,oi->no", x, w) if stable else x @ w.T) + b
+    y = {None: pre, "tanh": np.tanh(pre), "relu": np.maximum(pre, 0.0)}[activation]
+    g = 2.0 * y * np.full(y.shape, 1.0 / y.size)
+    gp = {None: g, "tanh": g * (1.0 - y * y), "relu": g * (y > 0.0)}[activation]
+    gx = np.einsum("no,oi->ni", gp, w) if stable else gp @ w
+    gw = np.einsum("no,ni->oi", gp, x) if stable else gp.T @ x
+    return y, (gx, gw, gp.sum(axis=0))
+
+
 class TestDense:
     def test_matches_unfused_ops(self):
+        # the in-place forward and backward run the same IEEE operations in
+        # the same order as the out-of-place formula: equal bit for bit
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((5, 3))
-        w = rng.standard_normal((4, 3))
-        b = rng.standard_normal(4)
-        fused = ad.dense(Tensor(x), Tensor(w), Tensor(b), activation="tanh")
-        by_row = np.stack([np.tanh(w @ x[i] + b) for i in range(5)])
-        assert np.allclose(fused.data, by_row, rtol=1e-15)
+        for rows, width, out in [(37, 13, 11), (130, 64, 64)]:
+            x = rng.standard_normal((rows, width))
+            w = rng.standard_normal((out, width))
+            b = rng.standard_normal(out)
+            for stable in (False, True):
+                for activation in (None, "tanh", "relu"):
+                    y_ref, grads_ref = _dense_reference(x, w, b, activation, stable)
+                    fused = {}
+
+                    def build(xt, wt, bt):
+                        fused["y"] = ad.dense(xt, wt, bt, activation=activation,
+                                              stable=stable)
+                        return ad.mean_all(ad.square(fused["y"]))
+
+                    grads = grad_of(build, x, w, b)
+                    case = f"{rows}x{width}->{out} {activation} stable={stable}"
+                    assert np.array_equal(fused["y"].data, y_ref), case
+                    for got, want in zip(grads, grads_ref):
+                        assert np.array_equal(got, want), case
 
     def test_stable_matches_fast(self):
         rng = np.random.default_rng(8)

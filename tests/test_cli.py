@@ -35,6 +35,13 @@ def _edit_norm(raw: bytes, key: str, value: float) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+def _scale_parameters(ckpt: Path, factor: float) -> None:
+    raw = ckpt.read_bytes()
+    body = raw.index(b"\n") + 1
+    params = np.frombuffer(raw[body:], dtype="<f8")
+    ckpt.write_bytes(raw[:body] + (params * factor).astype("<f8").tobytes())
+
+
 def _nan_parameter(raw: bytes, index: int) -> bytes:
     body = raw.index(b"\n") + 1 + 8 * index
     return raw[:body] + np.array([np.nan]).tobytes() + raw[body + 8:]
@@ -99,6 +106,56 @@ MALFORMED_MANIFESTS = {
 }
 
 
+def _rewrite(name: str, edit):
+    """A corruption of a dataset directory: rewrite file `name` through `edit`
+    (bytes -> bytes, or None to delete it)."""
+    def corrupt(data: Path):
+        path = data / name
+        raw = edit(path.read_bytes())
+        if raw is None:
+            path.unlink()
+        else:
+            path.write_bytes(raw)
+    return corrupt
+
+
+def _with_controls(controls: bytes | None):
+    """Declare one control dimension in the manifest, with `controls.bin`
+    holding `controls` (None: no such file)."""
+    def corrupt(data: Path):
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), c=1)))
+        if controls is not None:
+            (data / "controls.bin").write_bytes(controls)
+    return corrupt
+
+
+def _nan_at(index: int):
+    return lambda raw: raw[:8 * index] + np.array([np.nan]).tobytes() + raw[8 * index + 8:]
+
+
+# case -> (corruption of a valid dataset directory, file the error must name,
+#          text it must contain)
+MALFORMED_BINS = {
+    "missing data.bin": (_rewrite("data.bin", lambda raw: None), "data.bin", "cannot be read"),
+    "missing adjacency.bin": (_rewrite("adjacency.bin", lambda raw: None), "adjacency.bin",
+                              "cannot be read"),
+    "missing controls.bin": (_with_controls(None), "controls.bin", "cannot be read"),
+    "truncated data.bin": (_rewrite("data.bin", lambda raw: raw[:-16]), "data.bin",
+                           "expected"),
+    "data.bin cut mid-value": (_rewrite("data.bin", lambda raw: raw[:-3]), "data.bin",
+                               "expected"),
+    "nan in data.bin": (_rewrite("data.bin", _nan_at(5)), "data.bin", "non-finite"),
+    "truncated adjacency.bin": (_rewrite("adjacency.bin", lambda raw: raw[:-8]),
+                                "adjacency.bin", "shorter than the manifest declares"),
+    "adjacency.bin cut mid-value": (_rewrite("adjacency.bin", lambda raw: raw[:-3]),
+                                    "adjacency.bin", "whole number"),
+    "nan in adjacency.bin": (_rewrite("adjacency.bin", _nan_at(1)), "adjacency.bin",
+                             "non-finite"),
+    "short controls.bin": (_with_controls(bytes(16)), "controls.bin", "expected"),
+}
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
@@ -147,6 +204,13 @@ class TestGenerate:
         assert main(["generate", "--config", str(partial),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_config_number_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.json"
+        train = dict(TINY["train"], clip_norm=float("nan"))
+        cfg.write_text(json.dumps(dict(TINY, train=train)))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "NaN is not a JSON number" in capsys.readouterr().err
+
     def test_rerun_bit_identical(self, tmp_path, tiny_config):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         assert main(["generate", "--config", str(tiny_config), "--out", str(out1)]) == 0
@@ -158,6 +222,36 @@ class TestGenerate:
         assert main(["generate", "--config", str(tiny_config),
                      "--out", str(dataset_dir)]) == 2
 
+    def test_refused_out_dir_keeps_user_files(self, tmp_path, tiny_config):
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "keep.txt").write_text("the user's")
+        assert main(["generate", "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert (out / "keep.txt").read_text() == "the user's"
+
+    def test_out_naming_a_file_exit_2(self, tmp_path, tiny_config):
+        out = tmp_path / "a_file"
+        out.write_text("the user's")
+        assert main(["generate", "--config", str(tiny_config), "--out", str(out)]) == 2
+        assert out.read_text() == "the user's"
+
+    def test_failure_before_out_keeps_user_files(self, tmp_path, dataset_dir):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"{not json\n")
+        out = tmp_path / "mine"
+        out.mkdir()
+        (out / "keep.txt").write_text("the user's")
+        assert main(["eval", "--data", str(dataset_dir), "--from", str(ckpt),
+                     "--out", str(out)]) == 3
+        assert (out / "keep.txt").read_text() == "the user's"
+
+    def test_failure_into_empty_out_dir_cleans_it(self, tmp_path, dataset_dir):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(["eval", "--data", str(dataset_dir), "--from", str(tmp_path / "nope"),
+                     "--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
+
 
 class TestTrainEval:
     def test_train_outputs(self, trained_dir):
@@ -168,6 +262,16 @@ class TestTrainEval:
         lines = (trained_dir / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_loss,test_error,wall_seconds"
         assert len(lines) == 1 + TINY["train"]["epochs"]
+
+    def test_zero_epochs_header_holds_null(self, tmp_path, dataset_dir):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(dict(TINY, train=dict(TINY["train"], epochs=0))))
+        out = tmp_path / "run0"
+        assert main(["train", "--config", str(cfg), "--data", str(dataset_dir),
+                     "--out", str(out)]) == 0
+        head = (out / "checkpoint.ckpt").read_bytes().split(b"\n", 1)[0]
+        provenance = json.loads(head)["provenance"]
+        assert provenance["val_loss"] is None and provenance["epoch"] == 0
 
     def test_eval_heldout_split(self, tmp_path, tiny_config, dataset_dir, trained_dir):
         out = tmp_path / "eval"
@@ -224,16 +328,26 @@ class TestTrainEval:
                                       trained_dir, capsys):
         # finite parameters load; scaled this far every rollout overflows
         ckpt = trained_dir / "checkpoint.ckpt"
-        raw = ckpt.read_bytes()
-        body = raw.index(b"\n") + 1
-        params = np.frombuffer(raw[body:], dtype="<f8")
-        ckpt.write_bytes(raw[:body] + (params * 1e200).astype("<f8").tobytes())
+        _scale_parameters(ckpt, 1e200)
         out = tmp_path / "eval"
         code = main(["eval", "--config", str(tiny_config), "--data", str(dataset_dir),
                      "--from", str(ckpt), "--out", str(out), "--split", "val"])
         assert code == 4
         assert "all 3 scored trajectories diverged" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_overflowing_scores_exit_4(self, tmp_path, tiny_config, dataset_dir,
+                                           trained_dir, capsys):
+        # rollouts stay finite, but their squared residuals overflow: a report
+        # would hold an infinite spread, which JSON cannot carry
+        ckpt = trained_dir / "checkpoint.ckpt"
+        _scale_parameters(ckpt, 1e150)
+        out = tmp_path / "eval"
+        code = main(["eval", "--config", str(tiny_config), "--data", str(dataset_dir),
+                     "--from", str(ckpt), "--out", str(out), "--split", "val"])
+        assert code == 4
+        assert "is not finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_checkpoint_exit_3(self, tmp_path, dataset_dir, trained_dir,
@@ -262,6 +376,19 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(manifest) in err and field in err
         assert len(err) < 500
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BINS))
+    def test_malformed_bin_exit_3(self, tmp_path, tiny_config, dataset_dir, capsys, case):
+        corrupt, name, text = MALFORMED_BINS[case]
+        data = tmp_path / "bad_data"
+        shutil.copytree(dataset_dir, data)
+        corrupt(data)
+        code = main(["train", "--config", str(tiny_config), "--data", str(data),
+                     "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(data / name) in err and text in err
 
 
 class TestAblateSweepPcaPlot:

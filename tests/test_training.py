@@ -1,5 +1,7 @@
 """Losses, Adam, and the training loop: hand values, convergence oracles,
-batch-gradient identity, and full bitwise determinism."""
+batch-gradient identity, full bitwise determinism, and bounded memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +191,36 @@ class TestTrainLoop:
             denom = np.maximum(np.abs(batched[p]), 1e-30)
             rel = np.abs(mean_grad - batched[p]) / denom
             assert rel.max() < 1e-12
+
+    def test_two_batches_hold_one_tape(self):
+        # the reverse sweep frees each batch's graph, so the second batch's
+        # tape does not stack onto the first's (that was a 2x peak)
+        g = graphs.gen_fixed_degree(6, 3, seed=1)
+        sys = dynamics.make_kuramoto(g, seed=2)
+        ts = datasets.generate_dataset(sys, g, n_traj=20, horizon=2.0, dt=0.05, seed=3)
+        train_set, val_set = datasets.split_train_val(ts, 0.8, seed=4)
+        half = train_set.n_traj // 2
+        cfg = TrainConfig(epochs=1, batch_size=half, loss="mse", seed=5)
+
+        def traced_peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def one_batch():
+            model = init_model(1, 2, 0, hidden=(32, 32), seed=6)
+            with Tape() as tape:
+                loss = training._batch_loss(model, train_set, list(range(half)), cfg,
+                                            train_set.T, training.loss_fn_for(cfg))
+            tape.backward(loss, params=model.parameters())
+
+        one = traced_peak(one_batch)
+        two = traced_peak(lambda: train(init_model(1, 2, 0, hidden=(32, 32), seed=6),
+                                        train_set, val_set, cfg))
+        assert two < 1.25 * one
 
     def test_unnormalized_data_rejected(self, tiny_kuramoto):
         train_set, val_set = tiny_kuramoto
