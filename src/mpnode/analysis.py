@@ -145,19 +145,33 @@ def message_norms(message_log: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
-                ) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100,
+                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors-as-columns), unsorted. Small and
     robust; intended for the few-hundred-dimensional covariances here.
+
+    `start`, an orthonormal [n, n] matrix of approximate eigenvectors (say
+    LAPACK's), seeds the rotations: they run on `start.T @ a @ start`. The
+    stopping rule is the same, against the norm of `a`, so a start that
+    already diagonalizes `a` to `tol` comes back unrotated.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"need a square matrix, got {a.shape}")
     n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n)
+    if start is None:
+        A = a.copy()
+        V = np.eye(n)
+    else:
+        V = np.array(start, dtype=np.float64)
+        if V.shape != a.shape:
+            raise ShapeError(f"start must be {a.shape}, got {V.shape}")
+        if not np.abs(V.T @ V - np.eye(n)).max() <= 1e-12:
+            raise ValueError("start must have orthonormal columns")
+        A = V.T @ a @ V
+        A = 0.5 * (A + A.T)
     if n == 1:
         return np.diagonal(A).copy(), V
     norm = np.sqrt((a * a).sum())
@@ -208,9 +222,11 @@ def pca_messages(message_log: np.ndarray, k: int) -> PcaResult:
     """PCA of message trajectories.
 
     Each (trajectory, time) sample is the concatenation of all node messages
-    (length n*p). The covariance of the mean-centered samples is
-    eigendecomposed with cyclic Jacobi; projections come back per trajectory
-    over time.
+    (length n*p). The covariance of the mean-centered samples is an einsum,
+    not a BLAS product: threaded BLAS pays a start-up cost for this tall,
+    narrow shape that dwarfs the product. LAPACK's `eigh` seeds the
+    eigenvectors and cyclic Jacobi refines them until its stopping rule
+    holds; projections come back per trajectory over time.
     """
     log = np.asarray(message_log, dtype=np.float64)
     if log.ndim != 4:
@@ -224,8 +240,8 @@ def pca_messages(message_log: np.ndarray, k: int) -> PcaResult:
     X = log.reshape(n_traj * T, dim)
     Xc = X - X.mean(axis=0)
     denom = max(X.shape[0] - 1, 1)
-    cov = (Xc.T @ Xc) / denom
-    eigvals, eigvecs = jacobi_eigh(cov)
+    cov = np.einsum("ti,tj->ij", Xc, Xc) / denom
+    eigvals, eigvecs = jacobi_eigh(cov, start=np.linalg.eigh(cov)[1])
     order = np.argsort(-eigvals)
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -340,6 +340,8 @@ def cmd_pca(args) -> int:
         raise CompatibilityError("checkpoint has no message variables to analyze")
     if args.trajectories < 1:
         raise ConfigError("--trajectories must be at least 1")
+    if args.components < 1:
+        raise ConfigError("--components must be at least 1")
     n_traj = min(args.trajectories, ts.n_traj)
     ts = ts.subset(range(n_traj))
     raw = datasets.zscore_invert(ts, ts.norm) if ts.norm is not None else ts

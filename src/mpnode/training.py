@@ -167,17 +167,33 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, path) -> "RunRecord":
+        """Parse a metrics.csv; a malformed row raises CompatibilityError naming
+        the file, the line and the column."""
         lines = Path(path).read_text().strip().split("\n")
         header = "epoch,train_loss,val_loss,test_error,wall_seconds"
         if lines[0] != header:
-            raise CompatibilityError(f"unexpected metrics header {lines[0]!r}")
+            raise CompatibilityError(f"{path}: unexpected metrics header {lines[0]!r}")
+        columns = header.split(",")
         rec = cls()
-        for line in lines[1:]:
-            e, tr, vl, te, ws = line.split(",")
-            rec.append(epoch=int(e), train_loss=float(tr),
-                       val_loss=float(vl) if vl else None,
-                       test_error=float(te) if te else None,
-                       wall_seconds=float(ws))
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(columns):
+                raise CompatibilityError(f"{path} line {lineno}: {len(cells)} cells, "
+                                         f"expected {len(columns)}")
+            row = {}
+            for name, cell in zip(columns, cells):
+                if not cell and name in ("val_loss", "test_error"):
+                    row[name] = None  # epoch not validated
+                    continue
+                try:
+                    value = int(cell) if name == "epoch" else float(cell)
+                except ValueError:
+                    value = float("nan")
+                if not np.isfinite(value):
+                    raise CompatibilityError(f"{path} line {lineno}, column {name}: "
+                                             f"{cell!r} is not a finite number")
+                row[name] = value
+            rec.append(**row)
         return rec
 
 

@@ -156,6 +156,23 @@ MALFORMED_BINS = {
 }
 
 
+METRICS_HEADER = "epoch,train_loss,val_loss,test_error,wall_seconds"
+VALID_METRICS_ROWS = ["1,0.5,0.4,0.3,1.0", "2,0.25,,,1.0"]
+
+# case -> (metrics.csv rows after the header, text the error must name)
+MALFORMED_METRICS = {
+    "non-numeric cell": (["1,abc,0.4,0.3,1.0", "2,0.25,,,1.0"], "line 2, column train_loss"),
+    "short row": (["1,0.5,0.4,0.3,1.0", "2,0.25,,"], "line 3: 4 cells"),
+    "long row": (["1,0.5,0.4,0.3,1.0,9", "2,0.25,,,1.0"], "line 2: 6 cells"),
+    "nan train loss": (["1,nan,0.4,0.3,1.0", "2,0.25,,,1.0"], "line 2, column train_loss"),
+    "infinite test error": (["1,0.5,0.4,inf,1.0", "2,0.25,,,1.0"],
+                            "line 2, column test_error"),
+    "empty train loss": (["1,0.5,0.4,0.3,1.0", "2,,,,1.0"], "line 3, column train_loss"),
+    "empty wall seconds": (["1,0.5,0.4,0.3,", "2,0.25,,,1.0"], "line 2, column wall_seconds"),
+    "fractional epoch": (["1.5,0.5,0.4,0.3,1.0", "2,0.25,,,1.0"], "line 2, column epoch"),
+}
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.json"
@@ -419,11 +436,40 @@ class TestAblateSweepPcaPlot:
         assert len(payload["explained_variance"]) == 3
         assert (out / "pca.svg").exists()
 
+    @pytest.mark.parametrize("flag", ["--trajectories", "--components"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_pca_count_below_one_exit_2(self, tmp_path, dataset_dir, trained_dir, capsys,
+                                        flag, value):
+        out = tmp_path / "pca"
+        code = main(["pca", "--data", str(dataset_dir),
+                     "--from", str(trained_dir / "checkpoint.ckpt"),
+                     "--out", str(out), flag, value])
+        assert code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot(self, tmp_path, trained_dir):
         out = tmp_path / "plot"
         assert main(["plot", "--data", str(trained_dir / "metrics.csv"),
                      "--out", str(out)]) == 0
         assert (out / "metrics.svg").exists()
+
+    def test_plot_valid_metrics_table(self, tmp_path):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("\n".join([METRICS_HEADER, *VALID_METRICS_ROWS]) + "\n")
+        assert main(["plot", "--data", str(metrics), "--out", str(tmp_path / "plot")]) == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_METRICS))
+    def test_plot_malformed_metrics_exit_3(self, tmp_path, capsys, case):
+        rows, text = MALFORMED_METRICS[case]
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("\n".join([METRICS_HEADER, *rows]) + "\n")
+        out = tmp_path / "plot"
+        code = main(["plot", "--data", str(metrics), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(metrics) in err and text in err
+        assert not out.exists()
 
 
 class TestShippedConfigs:

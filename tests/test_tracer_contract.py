@@ -1,10 +1,13 @@
 """The benchmark's tracer (`perfbench/tracer.py`) wraps package functions by
-module attribute; its per-layer report indexes the ground-truth span without
-a guard, so `generate` must keep calling `datasets.simulate_trajectory`."""
+module attribute; its per-layer report indexes spans without a guard, so
+`generate` must keep calling `datasets.simulate_trajectory`, and `pca` must
+keep calling `analysis.jacobi_eigh` and `analysis.pca_messages`."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from mpnode import analysis, autodiff, cli, datasets, model, training
 
@@ -20,7 +23,9 @@ TINY = {
 }
 
 
-def test_generate_records_the_simulate_trajectory_span(tmp_path, monkeypatch):
+@pytest.fixture()
+def recorder(monkeypatch):
+    """The tracer's wrappers, installed on the package for one test."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -31,9 +36,30 @@ def test_generate_records_the_simulate_trajectory_span(tmp_path, monkeypatch):
     monkeypatch.setattr(autodiff.Tape, "backward", autodiff.Tape.backward)
     rec = tracer.Recorder()
     tracer.install(rec)
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps(TINY))
+    return rec
+
+
+@pytest.fixture()
+def config(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return path
+
+
+def test_generate_records_the_simulate_trajectory_span(tmp_path, recorder, config):
     assert cli.main(["generate", "--config", str(config), "--out", str(tmp_path / "d")]) == 0
-    spans = rec.summary()["spans"]
+    spans = recorder.summary()["spans"]
     assert spans["dynamics.simulate_trajectory"]["calls"] >= 1
     assert spans["datasets.generate_dataset"]["calls"] == 1
+
+
+def test_pca_records_the_jacobi_and_pca_spans(tmp_path, recorder, config):
+    data, run = tmp_path / "d", tmp_path / "run"
+    assert cli.main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(run)]) == 0
+    assert cli.main(["pca", "--data", str(data), "--from", str(run / "checkpoint.ckpt"),
+                     "--out", str(tmp_path / "pca")]) == 0
+    spans = recorder.summary()["spans"]
+    assert spans["analysis.pca_messages"]["calls"] == 1
+    assert spans["analysis.jacobi_eigh"]["calls"] == 1
