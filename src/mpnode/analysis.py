@@ -141,37 +141,25 @@ def message_norms(message_log: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PCA via cyclic Jacobi
+# PCA, and cyclic Jacobi as the reference eigensolver
 # ---------------------------------------------------------------------------
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100,
-                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors-as-columns), unsorted. Small and
-    robust; intended for the few-hundred-dimensional covariances here.
-
-    `start`, an orthonormal [n, n] matrix of approximate eigenvectors (say
-    LAPACK's), seeds the rotations: they run on `start.T @ a @ start`. The
-    stopping rule is the same, against the norm of `a`, so a start that
-    already diagonalizes `a` to `tol` comes back unrotated.
+    robust, and independent of LAPACK: the tests check `pca_messages`'s
+    `eigh` against it. Its rotations run in Python, so it takes tens of
+    seconds at dimension 448.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"need a square matrix, got {a.shape}")
     n = a.shape[0]
-    if start is None:
-        A = a.copy()
-        V = np.eye(n)
-    else:
-        V = np.array(start, dtype=np.float64)
-        if V.shape != a.shape:
-            raise ShapeError(f"start must be {a.shape}, got {V.shape}")
-        if not np.abs(V.T @ V - np.eye(n)).max() <= 1e-12:
-            raise ValueError("start must have orthonormal columns")
-        A = V.T @ a @ V
-        A = 0.5 * (A + A.T)
+    A = a.copy()
+    V = np.eye(n)
     if n == 1:
         return np.diagonal(A).copy(), V
     norm = np.sqrt((a * a).sum())
@@ -223,10 +211,11 @@ def pca_messages(message_log: np.ndarray, k: int) -> PcaResult:
 
     Each (trajectory, time) sample is the concatenation of all node messages
     (length n*p). The covariance of the mean-centered samples is an einsum,
-    not a BLAS product: threaded BLAS pays a start-up cost for this tall,
-    narrow shape that dwarfs the product. LAPACK's `eigh` seeds the
-    eigenvectors and cyclic Jacobi refines them until its stopping rule
-    holds; projections come back per trajectory over time.
+    not a BLAS product. That choice is tuned to the 2-vCPU reference host,
+    where the first threaded OpenBLAS call on this tall, narrow shape cost
+    more than the product at dimension 70; at dimension 448 BLAS was faster.
+    LAPACK's `eigh` eigendecomposes it; projections come back per trajectory
+    over time. A covariance that overflowed raises DivergenceError.
     """
     log = np.asarray(message_log, dtype=np.float64)
     if log.ndim != 4:
@@ -241,7 +230,9 @@ def pca_messages(message_log: np.ndarray, k: int) -> PcaResult:
     Xc = X - X.mean(axis=0)
     denom = max(X.shape[0] - 1, 1)
     cov = np.einsum("ti,tj->ij", Xc, Xc) / denom
-    eigvals, eigvecs = jacobi_eigh(cov, start=np.linalg.eigh(cov)[1])
+    if not np.isfinite(cov).all():
+        raise DivergenceError("message covariance is not finite; the messages overflowed")
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals)
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

@@ -45,17 +45,6 @@ class TestEpochsTimesMinError:
             epochs_times_min_error(RunRecord())
 
 
-def _spread_samples() -> np.ndarray:
-    """500 samples of dimension 70, column scales spread over six decades."""
-    rng = np.random.default_rng(0)
-    return rng.standard_normal((500, 70)) * np.logspace(-6, 0, 70)
-
-
-def _covariance(x: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc / (x.shape[0] - 1)
-
-
 class TestJacobi:
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64, 128])
     def test_eigenpair_residuals(self, dim):
@@ -101,44 +90,6 @@ class TestJacobi:
         with pytest.raises(ShapeError):
             jacobi_eigh(np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64, 128])
-    def test_identity_start_matches_cold_bit_for_bit(self, dim):
-        rng = np.random.default_rng(dim)
-        a = rng.standard_normal((dim, dim))
-        for cov in (a @ a.T / dim, a @ a.T):
-            cold_vals, cold_vecs = jacobi_eigh(cov)
-            vals, vecs = jacobi_eigh(cov, start=np.eye(dim))
-            assert np.array_equal(vals, cold_vals) and np.array_equal(vecs, cold_vecs)
-
-    def test_lapack_start_needs_no_rotation(self):
-        # LAPACK's eigenvectors already meet the stopping rule, so Jacobi
-        # returns them as they came
-        cov = _covariance(_spread_samples())
-        start = np.linalg.eigh(cov)[1]
-        _, vecs = jacobi_eigh(cov, start=start)
-        assert np.array_equal(vecs, start)
-
-    def test_rough_start_is_refined(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((12, 12))
-        cov = a @ a.T
-        start, _ = np.linalg.qr(np.linalg.eigh(cov)[1] + 1e-3 * rng.standard_normal((12, 12)))
-        vals, vecs = jacobi_eigh(cov, start=start)
-        rotated = vecs.T @ cov @ vecs
-        assert np.linalg.norm(rotated - np.diag(np.diagonal(rotated))) <= \
-            1e-12 * np.linalg.norm(cov)
-        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(cov), rtol=1e-10, atol=1e-10)
-
-    def test_wrong_shape_start_rejected(self):
-        with pytest.raises(ShapeError):
-            jacobi_eigh(np.eye(3), start=np.eye(4))
-
-    def test_non_orthonormal_start_rejected(self):
-        start = np.eye(3)
-        start[0, 1] = 1e-9
-        with pytest.raises(ValueError, match="orthonormal"):
-            jacobi_eigh(np.eye(3), start=start)
-
 
 class TestPcaMessages:
     def test_single_axis_explains_everything(self):
@@ -181,13 +132,22 @@ class TestPcaMessages:
         with pytest.raises(ShapeError):
             pca_messages(np.zeros((2, 3, 2, 2)), k=5)
 
-    def test_spread_column_scales_match_lapack(self):
-        x = _spread_samples()
+    def test_spread_column_scales_match_jacobi(self):
+        # cold Jacobi, which shares no code with LAPACK, is the reference
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((500, 70)) * np.logspace(-6, 0, 70)
         result = pca_messages(x.reshape(5, 100, 70, 1), k=70)
-        ref = np.linalg.eigvalsh(_covariance(x))[::-1]
+        xc = x - x.mean(axis=0)
+        ref = np.sort(jacobi_eigh(xc.T @ xc / 499)[0])[::-1]
         assert np.abs(result.eigenvalues - ref).max() <= 1e-13 * ref[0]
         gram = result.components.T @ result.components
         assert np.abs(gram - np.eye(70)).max() <= 1e-12
+
+    def test_overflowing_covariance_rejected(self):
+        rng = np.random.default_rng(10)
+        log = rng.standard_normal((4, 10, 2, 2)) * 1e160
+        with pytest.raises(DivergenceError, match="covariance is not finite"):
+            pca_messages(log, k=2)
 
 
 class TestMessageNorms:

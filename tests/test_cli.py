@@ -454,6 +454,19 @@ class TestAblateSweepPcaPlot:
                      "--out", str(out)]) == 0
         assert (out / "metrics.svg").exists()
 
+    def test_pca_overflowing_covariance_exit_4(self, tmp_path, dataset_dir, trained_dir,
+                                               capsys):
+        # the rollout stays finite, but the messages' squares overflow the
+        # covariance; eval exits 4 on the same overflow
+        ckpt = trained_dir / "checkpoint.ckpt"
+        _scale_parameters(ckpt, 2e154)
+        out = tmp_path / "pca"
+        code = main(["pca", "--data", str(dataset_dir), "--from", str(ckpt),
+                     "--out", str(out)])
+        assert code == 4
+        assert "message covariance is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plot_valid_metrics_table(self, tmp_path):
         metrics = tmp_path / "metrics.csv"
         metrics.write_text("\n".join([METRICS_HEADER, *VALID_METRICS_ROWS]) + "\n")

@@ -14,6 +14,7 @@ ALLOWED = {
     "finite_diff_check": "gradient oracle of the tests",
     "parameter": "builds trainable leaves in tests and oracles",
     "message_norms": "message-norm telemetry will call it (ROADMAP item 2)",
+    "jacobi_eigh": "LAPACK-independent eigensolver the tests check pca_messages against",
 }
 
 

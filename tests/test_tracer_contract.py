@@ -1,7 +1,8 @@
 """The benchmark's tracer (`perfbench/tracer.py`) wraps package functions by
-module attribute; its per-layer report indexes spans without a guard, so
-`generate` must keep calling `datasets.simulate_trajectory`, and `pca` must
-keep calling `analysis.jacobi_eigh` and `analysis.pca_messages`."""
+module attribute. Its per-layer report indexes the ground-truth span without
+a guard, so `generate` must keep calling `datasets.simulate_trajectory`; it
+reads a missing span as zero, so a `pca` that stopped calling
+`analysis.pca_messages` through the module would report no PCA time."""
 
 import importlib.util
 import json
@@ -53,7 +54,7 @@ def test_generate_records_the_simulate_trajectory_span(tmp_path, recorder, confi
     assert spans["datasets.generate_dataset"]["calls"] == 1
 
 
-def test_pca_records_the_jacobi_and_pca_spans(tmp_path, recorder, config):
+def test_pca_records_the_pca_messages_span(tmp_path, recorder, config):
     data, run = tmp_path / "d", tmp_path / "run"
     assert cli.main(["generate", "--config", str(config), "--out", str(data)]) == 0
     assert cli.main(["train", "--config", str(config), "--data", str(data),
@@ -62,4 +63,3 @@ def test_pca_records_the_jacobi_and_pca_spans(tmp_path, recorder, config):
                      "--out", str(tmp_path / "pca")]) == 0
     spans = recorder.summary()["spans"]
     assert spans["analysis.pca_messages"]["calls"] == 1
-    assert spans["analysis.jacobi_eigh"]["calls"] == 1
